@@ -1,4 +1,4 @@
-"""Timing probes: numba vs numpy kernels, and scaling in the ambient dimension.
+"""Timing probe: per-iteration kernel time as the ambient dimension grows.
 
 Per-iteration work is one attraction sweep, one repulsion sweep and the two
 cost sums -- exactly what the solver executes each step.  The ambient-
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import kernels
 from .datasets import DatasetSpec, make_dataset
+from .errors import ConfigError
 from .neighborhood import estimate_supports
 from .rng import Rng
 from .sketch import build_sketch
@@ -37,7 +38,7 @@ def make_case(n: int = 60, J: int = 816, I: int = 163, m: int = 10,
               sigma: float = 0.1, seed: int = 0) -> BenchCase:
     """Cylinder dataset padded to ambient dimension n (n >= 60)."""
     if n < 60:
-        raise ValueError("bench cases are padded upward from 60 dimensions")
+        raise ConfigError(f"bench cases are padded upward from 60 dimensions, got {n}")
     ds = make_dataset(DatasetSpec(kind="cylinder2d", sample_count=J, noise=sigma,
                                   seed=seed))
     P = np.zeros((J, n))
@@ -52,50 +53,31 @@ def make_case(n: int = 60, J: int = 816, I: int = 163, m: int = 10,
     return BenchCase(Q=Q, P=P, Qs=S.project(Q), Ps=S.project(P), params=rp, lam=lam)
 
 
-def one_iteration(case: BenchCase, threads: int = 1, backend: str | None = None) -> None:
+def one_iteration(case: BenchCase, threads: int = 1) -> None:
     rp = case.params
     kernels.attraction_forces(case.Q, case.P, case.Qs, case.Ps, rp.h1, rp.eps,
-                              rp.cutoff1, threads, backend=backend)
-    kernels.repulsion_forces(case.Q, case.Qs, rp.h2, rp.cutoff2, rp.delta_min,
-                             threads, backend=backend)
-    kernels.attraction_cost(case.Qs, case.Ps, rp.h1, rp.eps, rp.cutoff1, threads,
-                            backend=backend)
-    kernels.repulsion_cost(case.Qs, case.lam, rp.h2, rp.cutoff2, rp.delta_min,
-                           threads, backend=backend)
+                              rp.cutoff1, threads)
+    kernels.repulsion_forces(case.Q, case.Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
+    kernels.attraction_cost(case.Qs, case.Ps, rp.h1, rp.eps, rp.cutoff1, threads)
+    kernels.repulsion_cost(case.Qs, case.lam, rp.h2, rp.cutoff2, rp.delta_min, threads)
 
 
-def time_iteration(case: BenchCase, reps: int = 10, threads: int = 1,
-                   backend: str | None = None) -> float:
+def time_iteration(case: BenchCase, reps: int = 10, threads: int = 1) -> float:
     """Median wall milliseconds of one solver-iteration workload."""
-    one_iteration(case, threads=threads, backend=backend)  # warm-up / JIT
+    one_iteration(case, threads=threads)  # warm-up
     samples = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        one_iteration(case, threads=threads, backend=backend)
+        one_iteration(case, threads=threads)
         samples.append((time.perf_counter() - t0) * 1e3)
     return float(np.median(samples))
 
 
 def dimension_scaling(n_values=(60, 120), reps: int = 10, threads: int = 1,
-                      backend: str | None = None, seed: int = 0) -> dict[int, float]:
+                      seed: int = 0) -> dict[int, float]:
     """Median per-iteration milliseconds for each ambient dimension."""
     out = {}
     for n in n_values:
         case = make_case(n=n, seed=seed)
-        out[int(n)] = time_iteration(case, reps=reps, threads=threads, backend=backend)
+        out[int(n)] = time_iteration(case, reps=reps, threads=threads)
     return out
-
-
-def compare_backends(n_values=(60, 120), reps: int = 10, threads: int = 1,
-                     seed: int = 0) -> list[tuple[str, int, float]]:
-    """Rows of (backend, n, median_ms) for every available backend."""
-    backends = ["numpy"]
-    if kernels.backend_name() == "numba":
-        backends.insert(0, "numba")
-    rows = []
-    for backend in backends:
-        for n in n_values:
-            case = make_case(n=n, seed=seed)
-            rows.append((backend, int(n),
-                         time_iteration(case, reps=reps, threads=threads, backend=backend)))
-    return rows

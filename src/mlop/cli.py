@@ -14,7 +14,6 @@ from pathlib import Path
 
 
 from . import bench as bench_mod
-from . import kernels
 from .cloud import load_cloud
 from .datasets import Dataset, DatasetSpec, KINDS, make_dataset
 from .errors import CloudFormatError, ConfigError, NumericalAbortError
@@ -125,24 +124,20 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_mod.compare_backends(n_values=args.n, reps=args.reps,
-                                      threads=args.threads, seed=args.seed)
-    print("backend,n,median_ms")
-    for backend, n, ms in rows:
-        print(f"{backend},{n},{ms:.3f}")
+    times = bench_mod.dimension_scaling(n_values=args.n, reps=args.reps,
+                                        threads=args.threads, seed=args.seed)
+    text = "n,median_ms\n" + "".join(f"{n},{ms:.3f}\n" for n, ms in times.items())
+    print(text, end="")
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("backend,n,median_ms\n")
-            for backend, n, ms in rows:
-                fh.write(f"{backend},{n},{ms:.3f}\n")
+            fh.write(text)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mlop",
-        description="Manifold reconstruction and denoising experiments "
-                    f"(active kernel backend: {kernels.backend_name()})",
+        description="Manifold reconstruction and denoising experiments",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -165,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON with dataset_dir, out_dir and solver settings")
     r.add_argument("--threads", type=int, default=None,
                    help="override the solver thread count (result is identical "
-                        "for any value)")
+                        "for any value at a fixed BLAS thread count)")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("reproduce", help="run a canned experiment bundle")
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_metrics)
 
-    b = sub.add_parser("bench", help="compare kernel backends and dimensions")
+    b = sub.add_parser("bench", help="time one solver iteration per ambient dimension")
     b.add_argument("--n", type=int, nargs="+", default=[60, 120])
     b.add_argument("--reps", type=int, default=10)
     b.add_argument("--threads", type=int, default=1)

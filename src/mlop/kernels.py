@@ -1,18 +1,15 @@
 """Hot numeric kernels: attraction/repulsion force sums and distance scans.
 
-Two interchangeable backends compute the same quantities:
-
-* ``numba``  -- ``@njit(cache=True, nogil=True)`` loops over exact coordinate
-  differences (default when numba imports cleanly);
-* ``numpy``  -- vectorized fallback, selected with ``MLOP_BACKEND=numpy``.
-  Distance blocks come from exact differences too, except that the
-  nearest-row scan ``min_dists`` screens candidates with the GEMM form
-  |x|^2 + |y|^2 - 2 x.y and then measures them by exact differences.
+Every kernel is vectorized numpy over row chunks.  Distance blocks come from
+exact coordinate differences, except that the nearest-row scan ``min_dists``
+screens candidates with the GEMM form |x|^2 + |y|^2 - 2 x.y and then
+measures them by exact differences.
 
 Work is split into fixed-size row chunks regardless of thread count, and
 each chunk is a pure function of the iteration-start snapshot, so results
-are bit-identical for any ``threads`` value within a backend.  The two
-backends agree to floating round-off (summation order differs).
+are bit-identical for any ``threads`` value at a fixed BLAS thread count
+(a BLAS product such as ``alpha @ P`` may sum in a different order when BLAS
+itself runs on more threads).
 
 Scalar coefficients are evaluated from sketched (projected) coordinates;
 force vectors are accumulated in the full ambient dimension.
@@ -21,7 +18,6 @@ force vectors are accumulated in the full ambient dimension.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,36 +26,10 @@ from .errors import CoincidentPointsError
 
 CHUNK = 64
 
-_ENV_BACKEND = os.environ.get("MLOP_BACKEND", "").strip().lower()
-if _ENV_BACKEND not in ("", "numba", "numpy"):
-    raise ValueError(f"MLOP_BACKEND must be 'numba' or 'numpy', got {_ENV_BACKEND!r}")
-
-_HAVE_NUMBA = False
-if _ENV_BACKEND != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV_BACKEND == "numba":
-            raise
-
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _use_numba(backend: str | None) -> bool:
-    """Resolve a per-call backend override against what is available."""
-    if backend is None:
-        return _HAVE_NUMBA
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return True
-    if backend == "numpy":
-        return False
-    raise ValueError(f"unknown backend {backend!r}")
+    """Name of the kernel implementation, for run environment reports."""
+    return "numpy"
 
 
 def _chunks(total: int):
@@ -67,7 +37,11 @@ def _chunks(total: int):
 
 
 def _run_chunks(fn, total: int, threads: int):
-    """Apply fn(i0, i1) over fixed chunks, optionally on a thread pool."""
+    """Apply fn(i0, i1) over fixed chunks, optionally on a thread pool.
+
+    An exception is re-raised from the first failing chunk in chunk order,
+    whatever the thread count.
+    """
     spans = _chunks(total)
     if threads <= 1 or len(spans) <= 1:
         return [fn(i0, i1) for i0, i1 in spans]
@@ -75,147 +49,29 @@ def _run_chunks(fn, total: int, threads: int):
         return list(pool.map(lambda s: fn(*s), spans))
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _attraction_nb(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out):
-        J = P.shape[0]
-        n = Q.shape[1]
-        m = Qs.shape[1]
-        for i in range(i0, i1):
-            csum = 0.0
-            acc = np.zeros(n)
-            for j in range(J):
-                d2 = 0.0
-                for k in range(m):
-                    t = Qs[i, k] - Ps[j, k]
-                    d2 += t * t
-                if d2 > cutsq:
-                    continue
-                hsq = d2 + eps
-                a = math.exp(-d2 / h1sq) / math.sqrt(hsq)
-                if bracket:
-                    a *= 1.0 - 2.0 * hsq / h1sq
-                csum += a
-                for k in range(n):
-                    acc[k] += a * P[j, k]
-            for k in range(n):
-                out[i, k] = csum * Q[i, k] - acc[k]
-
-    @njit(cache=True, nogil=True)
-    def _repulsion_nb(Q, Qs, h2sq, cutsq, dminsq, i0, i1, out):
-        I = Q.shape[0]
-        n = Q.shape[1]
-        m = Qs.shape[1]
-        for i in range(i0, i1):
-            bsum = 0.0
-            acc = np.zeros(n)
-            for j in range(I):
-                if j == i:
-                    continue
-                d2 = 0.0
-                for k in range(m):
-                    t = Qs[i, k] - Qs[j, k]
-                    d2 += t * t
-                if d2 <= dminsq:
-                    return i * I + j
-                if d2 > cutsq:
-                    continue
-                b = math.exp(-d2 / h2sq) / math.sqrt(d2) * (
-                    1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq)
-                )
-                bsum += b
-                for k in range(n):
-                    acc[k] += b * Q[j, k]
-            for k in range(n):
-                out[i, k] = bsum * Q[i, k] - acc[k]
-        return -1
-
-    @njit(cache=True, nogil=True)
-    def _attraction_cost_nb(Qs, Ps, h1sq, eps, cutsq, i0, i1):
-        J = Ps.shape[0]
-        m = Qs.shape[1]
-        total = 0.0
-        for i in range(i0, i1):
-            for j in range(J):
-                d2 = 0.0
-                for k in range(m):
-                    t = Qs[i, k] - Ps[j, k]
-                    d2 += t * t
-                if d2 > cutsq:
-                    continue
-                total += math.sqrt(d2 + eps) * math.exp(-d2 / h1sq)
-        return total
-
-    @njit(cache=True, nogil=True)
-    def _repulsion_cost_nb(Qs, lam, h2sq, cutsq, dminsq, i0, i1):
-        I = Qs.shape[0]
-        m = Qs.shape[1]
-        total = 0.0
-        for i in range(i0, i1):
-            inner = 0.0
-            for j in range(I):
-                if j == i:
-                    continue
-                d2 = 0.0
-                for k in range(m):
-                    t = Qs[i, k] - Qs[j, k]
-                    d2 += t * t
-                if d2 <= dminsq:
-                    return np.nan, i * I + j
-                if d2 > cutsq:
-                    continue
-                d = math.sqrt(d2)
-                inner += math.exp(-d2 / h2sq) / (3.0 * d * d2)
-            total += lam[i] * inner
-        return total, -1
-
-    @njit(cache=True, nogil=True)
-    def _min_dists_nb(Xs, Ys, i0, i1, out):
-        K = Ys.shape[0]
-        m = Xs.shape[1]
-        for i in range(i0, i1):
-            best = np.inf
-            for j in range(K):
-                d2 = 0.0
-                for k in range(m):
-                    t = Xs[i, k] - Ys[j, k]
-                    d2 += t * t
-                if d2 < best:
-                    best = d2
-            out[i] = math.sqrt(best)
-
-    @njit(cache=True, nogil=True)
-    def _self_nn_dists_nb(Xs, i0, i1, out):
-        K = Xs.shape[0]
-        m = Xs.shape[1]
-        for i in range(i0, i1):
-            best = np.inf
-            for j in range(K):
-                if j == i:
-                    continue
-                d2 = 0.0
-                for k in range(m):
-                    t = Xs[i, k] - Xs[j, k]
-                    d2 += t * t
-                if d2 < best:
-                    best = d2
-            out[i] = math.sqrt(best)
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
 def _sq_dists_block(A, B):
     """Exact squared distances between row blocks via explicit differences."""
     diff = A[:, None, :] - B[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _self_sq_dists(Xs, i0, i1):
+    """Squared distances from rows i0:i1 to every row, with the self pair at inf."""
+    d2 = _sq_dists_block(Xs[i0:i1], Xs)
+    rows = np.arange(i0, i1)
+    d2[rows - i0, rows] = np.inf
+    return d2
+
+
+def _guard_coincident(d2, i0, delta_min):
+    """Raise on the first pair of the block within the guard distance."""
+    hit = np.argwhere(d2 <= delta_min * delta_min)
+    if hit.size:
+        r, c = hit[0]
+        raise CoincidentPointsError(
+            f"reconstruction points {int(r + i0)} and {int(c)} are within the guard "
+            f"distance {delta_min:.3e}"
+        )
 
 
 def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out):
@@ -228,21 +84,14 @@ def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out):
     out[i0:i1] = alpha.sum(axis=1)[:, None] * Q[i0:i1] - alpha @ P
 
 
-def _repulsion_np(Q, Qs, h2sq, cutsq, dminsq, i0, i1, out):
-    I = Q.shape[0]
-    d2 = _sq_dists_block(Qs[i0:i1], Qs)
-    rows = np.arange(i0, i1)
-    d2[rows - i0, rows] = np.inf
-    hit = np.argwhere(d2 <= dminsq)
-    if hit.size:
-        r, c = hit[0]
-        return int((r + i0) * I + c)
+def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out):
+    d2 = _self_sq_dists(Qs, i0, i1)
+    _guard_coincident(d2, i0, delta_min)
     with np.errstate(over="ignore"):
         d = np.sqrt(d2)
         beta = np.exp(-d2 / h2sq) / d * (1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq))
     beta[d2 > cutsq] = 0.0
     out[i0:i1] = beta.sum(axis=1)[:, None] * Q[i0:i1] - beta @ Q
-    return -1
 
 
 def _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1):
@@ -251,19 +100,13 @@ def _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1):
     return float(term[d2 <= cutsq].sum())
 
 
-def _repulsion_cost_np(Qs, lam, h2sq, cutsq, dminsq, i0, i1):
-    I = Qs.shape[0]
-    d2 = _sq_dists_block(Qs[i0:i1], Qs)
-    rows = np.arange(i0, i1)
-    d2[rows - i0, rows] = np.inf
-    hit = np.argwhere(d2 <= dminsq)
-    if hit.size:
-        r, c = hit[0]
-        return np.nan, int((r + i0) * I + c)
+def _repulsion_cost_np(Qs, lam, h2sq, cutsq, delta_min, i0, i1):
+    d2 = _self_sq_dists(Qs, i0, i1)
+    _guard_coincident(d2, i0, delta_min)
     with np.errstate(over="ignore"):
         eta = np.exp(-d2 / h2sq) / (3.0 * d2 * np.sqrt(d2))
     eta[d2 > cutsq] = 0.0
-    return float((lam[i0:i1] * eta.sum(axis=1)).sum()), -1
+    return float((lam[i0:i1] * eta.sum(axis=1)).sum())
 
 
 def _min_dists_np(Xs, Ys, y2, i0, i1, out):
@@ -291,23 +134,16 @@ def _min_dists_np(Xs, Ys, y2, i0, i1, out):
 
 
 def _self_nn_dists_np(Xs, i0, i1, out):
-    d2 = _sq_dists_block(Xs[i0:i1], Xs)
-    rows = np.arange(i0, i1)
-    d2[rows - i0, rows] = np.inf
-    out[i0:i1] = np.sqrt(d2.min(axis=1))
+    out[i0:i1] = np.sqrt(_self_sq_dists(Xs, i0, i1).min(axis=1))
 
 
 # ---------------------------------------------------------------------------
-# public dispatch
+# public entry points
 # ---------------------------------------------------------------------------
-
-
-def _decode_pair(code: int, I: int):
-    return code // I, code % I
 
 
 def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1,
-                      backend: str | None = None, bracket: bool = False):
+                      bracket: bool = False):
     """Per reconstruction point, the data-term force sum(alpha_j (q - p_j)).
 
     Q, P are full-dimension rows; Qs, Ps their sketched projections.  Pairs
@@ -324,87 +160,58 @@ def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, thread
     """
     out = np.empty_like(Q)
     h1sq, cutsq = h1 * h1, cutoff * cutoff
-    if _use_numba(backend):
-        fn = lambda i0, i1: _attraction_nb(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out)
-    else:
-        fn = lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out)
-    _run_chunks(fn, Q.shape[0], threads)
+    _run_chunks(lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket,
+                                              i0, i1, out),
+                Q.shape[0], threads)
     return out
 
 
-def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1,
-                     backend: str | None = None):
-    """Per reconstruction point, the spreading-term force sum(beta_i (q - q_i))."""
+def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1):
+    """Per reconstruction point, the spreading-term force sum(beta_i (q - q_i)).
+
+    Raises CoincidentPointsError for the first pair (in row order) closer
+    than ``delta_min`` in sketched distance.
+    """
     out = np.empty_like(Q)
-    h2sq, cutsq, dminsq = h2 * h2, cutoff * cutoff, delta_min * delta_min
-    if _use_numba(backend):
-        fn = lambda i0, i1: _repulsion_nb(Q, Qs, h2sq, cutsq, dminsq, i0, i1, out)
-    else:
-        fn = lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, dminsq, i0, i1, out)
-    codes = _run_chunks(fn, Q.shape[0], threads)
-    for code in codes:
-        if code is not None and code >= 0:
-            i, j = _decode_pair(code, Q.shape[0])
-            raise CoincidentPointsError(
-                f"reconstruction points {i} and {j} are within the guard distance "
-                f"{delta_min:.3e}"
-            )
+    h2sq, cutsq = h2 * h2, cutoff * cutoff
+    _run_chunks(lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out),
+                Q.shape[0], threads)
     return out
 
 
-def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1,
-                    backend: str | None = None) -> float:
+def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1) -> float:
     h1sq, cutsq = h1 * h1, cutoff * cutoff
-    if _use_numba(backend):
-        fn = lambda i0, i1: _attraction_cost_nb(Qs, Ps, h1sq, eps, cutsq, i0, i1)
-    else:
-        fn = lambda i0, i1: _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1)
-    return float(sum(_run_chunks(fn, Qs.shape[0], threads)))
+    parts = _run_chunks(lambda i0, i1: _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1),
+                        Qs.shape[0], threads)
+    return float(sum(parts))
 
 
-def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float, threads: int = 1,
-                   backend: str | None = None) -> float:
-    h2sq, cutsq, dminsq = h2 * h2, cutoff * cutoff, delta_min * delta_min
-    if _use_numba(backend):
-        fn = lambda i0, i1: _repulsion_cost_nb(Qs, lam, h2sq, cutsq, dminsq, i0, i1)
-    else:
-        fn = lambda i0, i1: _repulsion_cost_np(Qs, lam, h2sq, cutsq, dminsq, i0, i1)
-    parts = _run_chunks(fn, Qs.shape[0], threads)
-    for value, code in parts:
-        if code >= 0:
-            i, j = _decode_pair(code, Qs.shape[0])
-            raise CoincidentPointsError(
-                f"reconstruction points {i} and {j} are within the guard distance "
-                f"{delta_min:.3e}"
-            )
-    return float(sum(value for value, _ in parts))
+def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,
+                   threads: int = 1) -> float:
+    h2sq, cutsq = h2 * h2, cutoff * cutoff
+    parts = _run_chunks(
+        lambda i0, i1: _repulsion_cost_np(Qs, lam, h2sq, cutsq, delta_min, i0, i1),
+        Qs.shape[0], threads)
+    return float(sum(parts))
 
 
-def min_dists(Xs, Ys, threads: int = 1, backend: str | None = None):
+def min_dists(Xs, Ys, threads: int = 1):
     """Per row of Xs, the distance to its nearest row of Ys.
 
     Distances come from exact coordinate differences, so a row of Xs that
-    equals a row of Ys bit for bit gets exactly 0.  The numpy backend keeps its memory at
-    chunk x K (K rows of Ys) and is bit-identical for any ``threads`` value.
+    equals a row of Ys bit for bit gets exactly 0.  Memory stays at
+    chunk x K (K rows of Ys).
     """
     out = np.empty(Xs.shape[0])
-    if _use_numba(backend):
-        fn = lambda i0, i1: _min_dists_nb(Xs, Ys, i0, i1, out)
-    else:
-        y2 = np.einsum("ij,ij->i", Ys, Ys)
-        fn = lambda i0, i1: _min_dists_np(Xs, Ys, y2, i0, i1, out)
-    _run_chunks(fn, Xs.shape[0], threads)
+    y2 = np.einsum("ij,ij->i", Ys, Ys)
+    _run_chunks(lambda i0, i1: _min_dists_np(Xs, Ys, y2, i0, i1, out), Xs.shape[0], threads)
     return out
 
 
-def self_nn_dists(Xs, threads: int = 1, backend: str | None = None):
+def self_nn_dists(Xs, threads: int = 1):
     """Per row, the distance to the nearest other row of the same set."""
     out = np.empty(Xs.shape[0])
-    if _use_numba(backend):
-        fn = lambda i0, i1: _self_nn_dists_nb(Xs, i0, i1, out)
-    else:
-        fn = lambda i0, i1: _self_nn_dists_np(Xs, i0, i1, out)
-    _run_chunks(fn, Xs.shape[0], threads)
+    _run_chunks(lambda i0, i1: _self_nn_dists_np(Xs, i0, i1, out), Xs.shape[0], threads)
     return out
 
 

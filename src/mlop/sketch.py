@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import as_points, load_cloud, write_matrix
-from .errors import DegenerateSketchError
+from .errors import ConfigError, DegenerateSketchError
 from .rng import Rng
 
 
@@ -33,10 +33,6 @@ class SketchMatrix:
             raise ValueError(f"sketch columns not orthonormal (|S^tS - I| = {gram_err:.3e})")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
-
-    @property
-    def source_dims(self) -> tuple[int, int]:
-        return self.s.shape
 
     @property
     def n(self) -> int:
@@ -64,6 +60,7 @@ def build_sketch(P, m: int, rng: Rng) -> SketchMatrix:
     space), and orthonormalizes B by QR.
 
     Raises:
+        ConfigError: m is outside [1, n] for data in R^n.
         DegenerateSketchError: B has rank < m (e.g. the data spans fewer than
             m directions).  The caller may retry with a smaller m; padding
             silently would corrupt every downstream norm.
@@ -71,7 +68,8 @@ def build_sketch(P, m: int, rng: Rng) -> SketchMatrix:
     pts = as_points(P)
     J, n = pts.shape
     if not 1 <= m <= n:
-        raise ValueError(f"sketch dimension must be in [1, {n}], got {m}")
+        raise ConfigError(f"sketch dimension must be in [1, {n}] for data in R^{n}, "
+                          f"got {m}")
     g = rng.standard_normal((J, m))
     b = pts.T @ g
     q, r = np.linalg.qr(b)

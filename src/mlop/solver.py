@@ -358,12 +358,11 @@ class TraceRecord:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: current/previous iterate and gradient, frozen
-    balance weights, per-point steps, and sketched gradient norms."""
+    """Mutable per-run state: current/previous iterate, previous gradient,
+    frozen balance weights, per-point steps, and sketched gradient norms."""
 
     q_curr: np.ndarray
     q_prev: np.ndarray | None = None
-    grad_curr: np.ndarray | None = None
     grad_prev: np.ndarray | None = None
     lam: np.ndarray | None = None
     step: np.ndarray | None = None
@@ -419,7 +418,8 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         supports, frozen balance weights and the sketch used.
 
     All per-point updates within one iteration read the iteration-start
-    snapshot, so the result is independent of update order and thread count.
+    snapshot, so the result is independent of update order and of
+    ``config.threads`` (at a fixed BLAS thread count).
     """
     if not isinstance(P, PointCloud):
         P = PointCloud(np.asarray(P, dtype=np.float64))
@@ -511,7 +511,6 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         state.step = np.minimum(state.step, cap)
         state.q_prev = state.q_curr
         state.grad_prev = grad
-        state.grad_curr = grad
         state.q_curr = state.q_curr - state.step[:, None] * grad
         state.iter = k + 1
         wall = (time.perf_counter() - t0) * 1e3

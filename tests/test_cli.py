@@ -169,3 +169,31 @@ def test_run_config_requires_one_source(tmp_path):
     path = tmp_path / "none.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 2
+
+
+def test_sketch_dim_above_ambient_dim_config_error(tmp_path, capsys):
+    # the default sketch_dim 10 on data in R^8, for run and for metrics
+    cfg = {
+        "out_dir": str(tmp_path / "out"),
+        "dataset": {"kind": "grid_line", "sample_count": 24, "noise": 0.05,
+                    "ambient_dim": 8, "seed": 7},
+        "solver": {"q_size": 8, "max_iters": 3, "seed": 1},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "[1, 8] for data in R^8, got 10" in capsys.readouterr().err
+    data = tmp_path / "data"
+    main(gen_args(data, extra=("--ambient-dim", "8")))
+    assert main(["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                 "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_bench_writes_one_row_per_dimension(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--n", "60", "--reps", "1", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == "n,median_ms"
+    n, ms = row.split(",")
+    assert n == "60" and float(ms) > 0.0
+    assert main(["bench", "--n", "30", "--reps", "1"]) == 2

@@ -4,8 +4,6 @@ import pytest
 from mlop import kernels
 from mlop.errors import CoincidentPointsError
 
-HAVE_NUMBA = kernels.backend_name() == "numba"
-
 
 def instance(seed=0, I=50, J=120, n=20, m=6):
     rng = np.random.default_rng(seed)
@@ -13,37 +11,6 @@ def instance(seed=0, I=50, J=120, n=20, m=6):
     P = rng.normal(size=(J, n))
     S = np.linalg.qr(rng.normal(size=(n, m)))[0]
     return Q, P, Q @ S, P @ S
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("bracket", [False, True])
-def test_attraction_backends_agree(bracket):
-    Q, P, Qs, Ps = instance()
-    args = (Q, P, Qs, Ps, 1.3, 0.1, 2.0)
-    a = kernels.attraction_forces(*args, backend="numba", bracket=bracket)
-    b = kernels.attraction_forces(*args, backend="numpy", bracket=bracket)
-    assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_repulsion_backends_agree():
-    Q, P, Qs, Ps = instance(1)
-    args = (Q, Qs, 1.1, 3.0, 1e-12)
-    a = kernels.repulsion_forces(*args, backend="numba")
-    b = kernels.repulsion_forces(*args, backend="numpy")
-    assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_cost_backends_agree():
-    Q, P, Qs, Ps = instance(2)
-    lam = -np.abs(np.random.default_rng(3).normal(size=Q.shape[0]))
-    a1 = kernels.attraction_cost(Qs, Ps, 1.3, 0.1, 2.0, backend="numba")
-    a2 = kernels.attraction_cost(Qs, Ps, 1.3, 0.1, 2.0, backend="numpy")
-    assert a1 == pytest.approx(a2, rel=1e-12)
-    r1 = kernels.repulsion_cost(Qs, -lam, 1.1, 3.0, 1e-12, backend="numba")
-    r2 = kernels.repulsion_cost(Qs, -lam, 1.1, 3.0, 1e-12, backend="numpy")
-    assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_thread_count_bitwise_invariance():
@@ -69,12 +36,17 @@ def test_cutoff_short_circuits():
 
 
 def test_coincident_pair_detected():
-    Q = np.zeros((3, 4))
-    Q[1] = 1.0
-    with pytest.raises(CoincidentPointsError, match="0 and 2"):
-        kernels.repulsion_forces(Q, Q, 1.0, 10.0, 1e-9)
-    with pytest.raises(CoincidentPointsError):
-        kernels.repulsion_cost(Q, np.ones(3), 1.0, 10.0, 1e-9)
+    # coincident pairs in chunks 0 and 1 (and their partners in chunk 2): the
+    # first pair in row order is reported, also when the chunks run on a pool
+    Q = np.random.default_rng(11).normal(size=(200, 4))
+    Q[150] = Q[10]
+    Q[30] = Q[20]
+    Q[180] = Q[100]
+    for threads in (1, 2):
+        with pytest.raises(CoincidentPointsError, match="points 10 and 150 "):
+            kernels.repulsion_forces(Q, Q, 1.0, 10.0, 1e-9, threads=threads)
+        with pytest.raises(CoincidentPointsError, match="points 10 and 150 "):
+            kernels.repulsion_cost(Q, np.ones(200), 1.0, 10.0, 1e-9, threads=threads)
 
 
 def test_min_dists_matches_brute_force():
@@ -133,8 +105,3 @@ def test_pairwise_dists_exact_on_integer_grid():
     assert D[0, 4] == 4.0
     assert D[1, 3] == 2.0
 
-
-def test_unknown_backend_rejected():
-    Q, P, Qs, Ps = instance(7, I=4, J=4)
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.attraction_forces(Q, P, Qs, Ps, 1.0, 0.1, 1.0, backend="cuda")
