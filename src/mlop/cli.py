@@ -19,7 +19,8 @@ from .datasets import Dataset, DatasetSpec, KINDS, make_dataset
 from .errors import CloudFormatError, ConfigError, NumericalAbortError
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, ExperimentReport,
                           reproduce, run_experiment, write_dataset)
-from .metrics import background_snr, nearest_reference_errors, relative_error
+from .metrics import (background_snr, erode_background, nearest_reference_errors,
+                      nearest_reference_masks, relative_error)
 from .neighborhood import fill_distance
 from .sketch import build_sketch, load_sketch
 from .solver import SolverConfig
@@ -106,17 +107,15 @@ def cmd_metrics(args) -> int:
     err = nearest_reference_errors(q, ds.reference, S)
     report = ExperimentReport(
         kind=ds.spec.kind,
-        relative_error=relative_error(q, ds.reference, S),
+        relative_error=relative_error(q, ds.reference, S, errors=err),
         rmse=err.rmse,
         variance=err.variance,
         fill_distance_final=fill_distance(q, S) if q.size >= 2 else None,
         config={"dataset": ds.spec.to_dict()},
     )
     if ds.masks is not None:
-        from .experiments import _nearest_mask
-        from .metrics import erode_background
-
-        masks = erode_background(_nearest_mask(q, ds.reference, ds.reference_masks, S))
+        masks = erode_background(nearest_reference_masks(q, ds.reference,
+                                                         ds.reference_masks, S))
         report.snr_final = background_snr(q, masks).median
     report.save(args.out)
     print(f"wrote {args.out}")

@@ -19,8 +19,9 @@ from . import solver as solver_mod
 from .cloud import PointCloud, save_cloud, write_matrix
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import ConfigError
-from .metrics import (background_snr, erode_background, local_pca_angle_error,
-                      nearest_reference_errors, relative_error)
+from .metrics import (NearestErrors, background_snr, erode_background,
+                      local_pca_angle_error, nearest_reference_errors,
+                      nearest_reference_masks, relative_error, sketched_diameter)
 from .neighborhood import fill_distance
 from .rng import Rng
 from .sketch import SketchMatrix, save_sketch
@@ -108,28 +109,26 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _nearest_mask(images: PointCloud, reference: PointCloud,
-                  reference_masks: np.ndarray, S: SketchMatrix) -> np.ndarray:
-    """Background mask of the nearest reference image, per evaluated image."""
-    ref_proj = S.project(reference)
-    idx = np.empty(images.size, dtype=int)
-    proj = S.project(images)
-    for i in range(images.size):
-        d = np.einsum("ij,ij->i", ref_proj - proj[i], ref_proj - proj[i])
-        idx[i] = int(np.argmin(d))
-    return reference_masks[idx]
-
-
 def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
-              runtime_ms: float) -> ExperimentReport:
-    """Compute the metric bundle for a finished run."""
+              runtime_ms: float) -> tuple[ExperimentReport, NearestErrors]:
+    """Compute the metric bundle for a finished run.
+
+    Makes one nearest-reference scan per evaluated cloud (q0 and Q_final)
+    and one reference diameter; returns the report and the Q_final errors,
+    whose per-point distances ``run_experiment`` writes to errors.csv.
+    """
     S = result.sketch
     threads = config.threads
     q0 = ds.points.subset(result.q0_indices)
+    diameter = sketched_diameter(ds.reference, S)
     err0 = nearest_reference_errors(q0, ds.reference, S, threads=threads)
     err1 = nearest_reference_errors(result.q_final, ds.reference, S, threads=threads)
-    rel0 = relative_error(q0, ds.reference, S, threads=threads)
-    rel1 = relative_error(result.q_final, ds.reference, S, threads=threads)
+    rel0 = relative_error(q0, ds.reference, S, threads=threads, errors=err0,
+                          diameter=diameter)
+    rel1 = relative_error(result.q_final, ds.reference, S, threads=threads, errors=err1,
+                          diameter=diameter)
+    # the diameter recovered from rel1 can differ from `diameter` in the last
+    # bit; max_rel_error keeps dividing by it so reported values do not move
     diam = err1.dists.mean() / rel1 if rel1 > 0 else math.nan
     report = ExperimentReport(
         kind=ds.spec.kind,
@@ -151,10 +150,10 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
     if ds.masks is not None:
         init_masks = erode_background(ds.masks[result.q0_indices])
         report.snr_initial = background_snr(q0, init_masks).median
-        final_masks = erode_background(
-            _nearest_mask(result.q_final, ds.reference, ds.reference_masks, S))
+        final_masks = erode_background(nearest_reference_masks(
+            result.q_final, ds.reference, ds.reference_masks, S, threads=threads))
         report.snr_final = background_snr(result.q_final, final_masks).median
-    return report
+    return report, err1
 
 
 def run_experiment(ds: Dataset, config: SolverConfig,
@@ -163,7 +162,7 @@ def run_experiment(ds: Dataset, config: SolverConfig,
     t0 = time.perf_counter()
     result = solver_mod.run(ds.points, config)
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    report = score_run(ds, result, config, runtime_ms)
+    report, err1 = score_run(ds, result, config, runtime_ms)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -172,9 +171,7 @@ def run_experiment(ds: Dataset, config: SolverConfig,
         save_sketch(result.sketch, out / "sketch.csv")
         report.save(out / "report.json")
         # per-point nearest-reference distances, plot-ready
-        dists = nearest_reference_errors(result.q_final, ds.reference,
-                                         result.sketch, threads=config.threads).dists
-        write_matrix(dists[:, None], out / "errors.csv")
+        write_matrix(err1.dists[:, None], out / "errors.csv")
     return report, result
 
 

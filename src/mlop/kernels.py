@@ -1,9 +1,10 @@
 """Hot numeric kernels: attraction/repulsion force sums and distance scans.
 
 Every kernel is vectorized numpy over row chunks.  Distance blocks come from
-exact coordinate differences, except that the nearest-row scan ``min_dists``
-screens candidates with the GEMM form |x|^2 + |y|^2 - 2 x.y and then
-measures them by exact differences.
+exact coordinate differences, except that the scans against another set
+(``nearest_rows``/``min_dists``, ``max_dists``, ``radius_pairs``) screen
+candidates with the GEMM form |x|^2 + |y|^2 - 2 x.y and then measure them by
+exact differences.
 
 Work is split into fixed-size row chunks regardless of thread count, and
 each chunk is a pure function of the iteration-start snapshot, so results
@@ -109,28 +110,71 @@ def _repulsion_cost_np(Qs, lam, h2sq, cutsq, delta_min, i0, i1):
     return float((lam[i0:i1] * eta.sum(axis=1)).sum())
 
 
-def _min_dists_np(Xs, Ys, y2, i0, i1, out):
-    # The expanded form |x|^2 + |y|^2 - 2 x.y keeps memory at chunk x K but
-    # cancels near zero, so it only screens: G = |y|^2 - 2 x.y is off by at
-    # most about (m + 1) (eps / 2) (|x| + max|y|)^2 per entry (Higham,
-    # "Accuracy and Stability of Numerical Algorithms", sec. 3).  Every column
-    # within (m + 2) eps (|x| + max|y|)^2 of the row minimum (twice the bound,
-    # plus margin for rounding the threshold) is a candidate.  The true
-    # nearest row is always one of them; the reported distance comes from
-    # exact differences over the candidates (usually one per row).
-    X = Xs[i0:i1]
+def _screen(X, Ys, y2, ymax, keep):
+    """Candidate pairs of the row chunk X against Ys, with exact squared distances.
+
+    The expanded form |x|^2 + |y|^2 - 2 x.y keeps memory at chunk x K but
+    cancels near zero, so it only screens: G = |y|^2 - 2 x.y is off by at
+    most about (m + 1) (eps / 2) (|x| + max|y|)^2 per entry (Higham,
+    "Accuracy and Stability of Numerical Algorithms", sec. 3), and |x|^2 by
+    at most m (eps / 2) |x|^2.  ``keep(G, x2, tol)`` marks the candidates
+    with tol = (m + 2) eps (|x| + max|y|)^2, which covers both errors plus
+    the rounding of the threshold, so every pair the exact distances would
+    pick (a row's nearest or farthest column, any pair inside a radius)
+    stays a candidate.  Returns chunk-local rows (ascending), their columns
+    (ascending within a row) and the exact squared distances.
+    """
     G = (-2.0 * X) @ Ys.T
     G += y2
-    xn = np.sqrt(np.einsum("ij,ij->i", X, X))
-    tol = (X.shape[1] + 2) * np.finfo(np.float64).eps * (xn + math.sqrt(y2.max())) ** 2
+    x2 = np.einsum("ij,ij->i", X, X)
+    tol = (X.shape[1] + 2) * np.finfo(np.float64).eps * (np.sqrt(x2) + ymax) ** 2
     # flatnonzero is an order of magnitude faster than 2-d nonzero here
-    rows, cols = np.divmod(np.flatnonzero(G <= (G.min(axis=1) + tol)[:, None]), Ys.shape[0])
+    rows, cols = np.divmod(np.flatnonzero(keep(G, x2, tol)), Ys.shape[0])
     diff = X[rows] - Ys[cols]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    # a row without candidates has a NaN screen and reports NaN
-    out[i0:i1] = np.nan
-    out[i0 + rows[starts]] = np.sqrt(np.minimum.reduceat(d2, starts))
+    return rows, cols, np.einsum("ij,ij->i", diff, diff)
+
+
+def _scan(chunk_fn, Xs, Ys, threads):
+    """Apply chunk_fn(X, Ys, y2, ymax) over fixed row chunks of Xs."""
+    y2 = np.einsum("ij,ij->i", Ys, Ys)
+    ymax = math.sqrt(y2.max())
+    return _run_chunks(lambda i0, i1: chunk_fn(Xs[i0:i1], Ys, y2, ymax), Xs.shape[0], threads)
+
+
+def _row_starts(rows):
+    return np.flatnonzero(np.diff(rows, prepend=-1))
+
+
+def _nearest_np(X, Ys, y2, ymax):
+    rows, cols, d2 = _screen(X, Ys, y2, ymax,
+                             lambda G, x2, tol: G <= (G.min(axis=1) + tol)[:, None])
+    starts = _row_starts(rows)
+    best = np.minimum.reduceat(d2, starts)
+    # first column reaching the row minimum, as np.argmin picks on ties
+    hit = np.flatnonzero(d2 == np.repeat(best, np.diff(starts, append=rows.size)))
+    first = hit[_row_starts(rows[hit])]
+    # a row without candidates has a NaN screen and reports NaN (index -1)
+    dist = np.full(X.shape[0], np.nan)
+    idx = np.full(X.shape[0], -1)
+    dist[rows[starts]] = np.sqrt(best)
+    idx[rows[first]] = cols[first]
+    return dist, idx
+
+
+def _farthest_np(X, Ys, y2, ymax):
+    rows, _, d2 = _screen(X, Ys, y2, ymax,
+                          lambda G, x2, tol: G >= (G.max(axis=1) - tol)[:, None])
+    starts = _row_starts(rows)
+    out = np.full(X.shape[0], np.nan)
+    out[rows[starts]] = np.sqrt(np.maximum.reduceat(d2, starts))
+    return out
+
+
+def _radius_np(X, Ys, y2, ymax, r2):
+    rows, cols, d2 = _screen(X, Ys, y2, ymax,
+                             lambda G, x2, tol: G <= (r2 - x2 + tol)[:, None])
+    inside = d2 < r2
+    return rows[inside], cols[inside]
 
 
 def _self_nn_dists_np(Xs, i0, i1, out):
@@ -195,17 +239,42 @@ def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,
     return float(sum(parts))
 
 
-def min_dists(Xs, Ys, threads: int = 1):
-    """Per row of Xs, the distance to its nearest row of Ys.
+def nearest_rows(Xs, Ys, threads: int = 1):
+    """Per row of Xs, the distance to its nearest row of Ys and that row's index.
 
-    Distances come from exact coordinate differences, so a row of Xs that
-    equals a row of Ys bit for bit gets exactly 0.  Memory stays at
-    chunk x K (K rows of Ys).
+    Candidates are screened with the GEMM form and measured by exact
+    coordinate differences, so a row of Xs that equals a row of Ys bit for
+    bit gets exactly 0.  Ties go to the first index, as np.argmin picks.
+    Memory stays at chunk x K (K rows of Ys).
     """
-    out = np.empty(Xs.shape[0])
-    y2 = np.einsum("ij,ij->i", Ys, Ys)
-    _run_chunks(lambda i0, i1: _min_dists_np(Xs, Ys, y2, i0, i1, out), Xs.shape[0], threads)
-    return out
+    parts = _scan(_nearest_np, Xs, Ys, threads)
+    return (np.concatenate([d for d, _ in parts] or [np.empty(0)]),
+            np.concatenate([i for _, i in parts] or [np.empty(0, dtype=int)]))
+
+
+def min_dists(Xs, Ys, threads: int = 1):
+    """Per row of Xs, the distance to its nearest row of Ys (see nearest_rows)."""
+    return nearest_rows(Xs, Ys, threads)[0]
+
+
+def max_dists(Xs, Ys, threads: int = 1):
+    """Per row of Xs, the distance to its farthest row of Ys.
+
+    Screened like nearest_rows and measured by exact differences; the
+    largest entry of ``max_dists(X, X)`` is the diameter of X.
+    """
+    return np.concatenate(_scan(_farthest_np, Xs, Ys, threads) or [np.empty(0)])
+
+
+def radius_pairs(Xs, Ys, radius: float, threads: int = 1):
+    """Index pairs (i, j) with row j of Ys at exact distance < radius from
+    row i of Xs, as two arrays sorted by i, then by j."""
+    r2 = radius * radius
+    parts = _scan(lambda X, Ys, y2, ymax: _radius_np(X, Ys, y2, ymax, r2), Xs, Ys, threads)
+    offsets = [i0 for i0, _ in _chunks(Xs.shape[0])]
+    return (np.concatenate([rows + i0 for (rows, _), i0 in zip(parts, offsets)]
+                           or [np.empty(0, dtype=int)]),
+            np.concatenate([cols for _, cols in parts] or [np.empty(0, dtype=int)]))
 
 
 def self_nn_dists(Xs, threads: int = 1):

@@ -45,19 +45,17 @@ def nearest_reference_errors(Q, reference, S: SketchMatrix, threads: int = 1) ->
 def sketched_diameter(X, S: SketchMatrix) -> float:
     """Largest pairwise sketched distance.
 
-    Exact for clouds up to 4096 points; larger clouds use an iterated
-    farthest-point sweep (exact on elongated sets, deterministic always).
+    Exact for clouds up to 4096 points: a farthest-row scan screened with
+    the GEMM form and measured by exact differences (kernels.max_dists).
+    Larger clouds use an iterated farthest-point sweep (exact on elongated
+    sets, deterministic always).
     """
     xs = S.project(X)
     K = xs.shape[0]
     if K < 2:
         return 0.0
     if K <= 4096:
-        best = 0.0
-        for i0, i1 in kernels._chunks(K):
-            d2 = kernels._sq_dists_block(xs[i0:i1], xs)
-            best = max(best, float(d2.max()))
-        return math.sqrt(best)
+        return float(kernels.max_dists(xs, xs).max())
     idx = int(np.argmax(np.linalg.norm(xs - xs.mean(axis=0), axis=1)))
     best = 0.0
     for _ in range(3):
@@ -70,18 +68,33 @@ def sketched_diameter(X, S: SketchMatrix) -> float:
     return math.sqrt(best)
 
 
-def relative_error(Q, reference, S: SketchMatrix, threads: int = 1) -> float:
+def relative_error(Q, reference, S: SketchMatrix, threads: int = 1, *,
+                   errors: NearestErrors | None = None,
+                   diameter: float | None = None) -> float:
     """Mean nearest-reference distance normalized by the reference diameter.
 
     The normalization makes the value scale-invariant; absolute comparisons
     against externally reported figures need a generous band because the
     normalizing scale is a convention.
+
+    A caller that already holds ``nearest_reference_errors(Q, reference, S)``
+    or ``sketched_diameter(reference, S)`` passes them as ``errors`` and
+    ``diameter``, and neither is computed again; the value is the same.
     """
-    diam = sketched_diameter(reference, S)
+    diam = sketched_diameter(reference, S) if diameter is None else diameter
     if diam <= 0:
         raise ValueError("reference cloud has zero diameter")
-    err = nearest_reference_errors(Q, reference, S, threads=threads)
-    return float(np.mean(err.dists) / diam)
+    if errors is None:
+        errors = nearest_reference_errors(Q, reference, S, threads=threads)
+    return float(np.mean(errors.dists) / diam)
+
+
+def nearest_reference_masks(images, reference, reference_masks,
+                            S: SketchMatrix, threads: int = 1) -> np.ndarray:
+    """Per evaluated image, the background mask of its nearest reference
+    image in sketched distance (the first one on ties)."""
+    _, idx = kernels.nearest_rows(S.project(images), S.project(reference), threads=threads)
+    return np.asarray(reference_masks)[idx]
 
 
 @dataclass(frozen=True)
@@ -147,16 +160,13 @@ def erode_background(masks: np.ndarray, side: int | None = None,
     return m.reshape(masks.shape[0], -1)
 
 
-def principal_direction(points: np.ndarray) -> np.ndarray:
-    """First eigenvector of the mean-centered covariance, canonicalized.
+# Covariances per stacked eigh call, which bounds memory at 64 n x n blocks.
+_EIGH_BATCH = 64
 
-    Largest eigenvalue wins; between v and -v the lexicographically larger
-    vector is returned so repeated runs agree bit for bit.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    vals, vecs = np.linalg.eigh(cov)
+
+def _top_eigenvector(vals, vecs) -> np.ndarray:
+    # v stays a strided column view of vecs (or its negation): np.dot of a
+    # contiguous copy can differ in the last bit through BLAS's strided path
     if vals[-1] <= 0:
         raise ValueError("degenerate neighborhood: all points coincide")
     v = vecs[:, -1]
@@ -164,6 +174,41 @@ def principal_direction(points: np.ndarray) -> np.ndarray:
     if nz.size and v[nz[0]] < 0:
         v = -v
     return v
+
+
+def _principal_directions(point_sets) -> list:
+    """principal_direction of each point set, with the covariances stacked
+    into batched np.linalg.eigh calls (the same LAPACK routine per matrix,
+    so each vector has the bits of a single call).  ``point_sets`` may be a
+    generator: only one set is held at a time."""
+    covs = []
+    for pts in point_sets:
+        centered = pts - pts.mean(axis=0)
+        covs.append(centered.T @ centered / pts.shape[0])
+    out = []
+    for k0 in range(0, len(covs), _EIGH_BATCH):
+        vals, vecs = np.linalg.eigh(np.stack(covs[k0:k0 + _EIGH_BATCH]))
+        out.extend(_top_eigenvector(vals[k], vecs[k]) for k in range(vals.shape[0]))
+    return out
+
+
+def principal_direction(points: np.ndarray) -> np.ndarray:
+    """First eigenvector of the mean-centered covariance, canonicalized.
+
+    Largest eigenvalue wins; between v and -v the lexicographically larger
+    vector is returned so repeated runs agree bit for bit.
+    """
+    return _principal_directions([np.asarray(points, dtype=np.float64)])[0]
+
+
+def _radius_neighbours(queries, points, h: float, own) -> list:
+    """Per query row i, the indices of the rows of ``points`` at sketched
+    distance < h, leaving out row own[i] (the query itself)."""
+    rows, cols = kernels.radius_pairs(queries, points, h)
+    keep = cols != own[rows]
+    rows, cols = rows[keep], cols[keep]
+    bounds = np.searchsorted(rows, np.arange(queries.shape[0] + 1))
+    return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -181,35 +226,38 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix,
     For each evaluated point: collect its neighbours within sketched radius
     h (the point itself is not its own neighbour), take the first PCA
     eigenvector of the neighbour set in full dimension, do the same around
-    the nearest reference point on the reference set, and score
-    arccos(|cos angle|), which is invariant to eigenvector sign.  Points
-    with fewer than min_neighbors neighbours are skipped and counted.
+    the nearest reference point (the first one on ties) on the reference
+    set, and score arccos(|cos angle|), which is invariant to eigenvector
+    sign.  Points with fewer than min_neighbors neighbours, on either side,
+    are skipped and counted.
+
+    Neighbours and nearest reference points come from screened scans
+    measured by exact differences (kernels.radius_pairs, nearest_rows).  A
+    reference tangent is computed once per distinct nearest reference
+    point, and only for points whose own neighbourhood is large enough.
     """
     xs_full = as_points(X)
     ref_full = as_points(reference)
     xs = S.project(xs_full)
     rs = S.project(ref_full)
-    nearest_ref = np.empty(xs.shape[0], dtype=int)
-    for i0, i1 in kernels._chunks(xs.shape[0]):
-        d2 = kernels._sq_dists_block(xs[i0:i1], rs)
-        nearest_ref[i0:i1] = np.argmin(d2, axis=1)
+    n = xs.shape[0]
+    _, nearest_ref = kernels.nearest_rows(xs, rs)
+    x_nbrs = _radius_neighbours(xs, xs, h, np.arange(n))
+    evaluated = [i for i in range(n) if x_nbrs[i].size >= min_neighbors]
+    v_xs = _principal_directions(xs_full[x_nbrs[i]] for i in evaluated)
+    refs = np.unique(nearest_ref[evaluated])
+    r_nbrs = _radius_neighbours(rs[refs], rs, h, refs)
+    kept = [k for k in range(refs.size) if r_nbrs[k].size >= min_neighbors]
+    v_refs = _principal_directions(ref_full[r_nbrs[k]] for k in kept)
+    tangent = {int(refs[k]): v for k, v in zip(kept, v_refs)}
     errors = []
-    skipped = 0
-    per_point = np.full(xs.shape[0], np.nan)
-    for i in range(xs.shape[0]):
-        d2 = np.einsum("ij,ij->i", xs - xs[i], xs - xs[i])
-        nbr = np.flatnonzero((d2 < h * h) & (np.arange(xs.shape[0]) != i))
-        if nbr.size < min_neighbors:
+    skipped = n - len(evaluated)
+    per_point = np.full(n, np.nan)
+    for i, v_x in zip(evaluated, v_xs):
+        v_r = tangent.get(int(nearest_ref[i]))
+        if v_r is None:
             skipped += 1
             continue
-        v_x = principal_direction(xs_full[nbr])
-        j = nearest_ref[i]
-        d2r = np.einsum("ij,ij->i", rs - rs[j], rs - rs[j])
-        nbr_r = np.flatnonzero((d2r < h * h) & (np.arange(rs.shape[0]) != j))
-        if nbr_r.size < min_neighbors:
-            skipped += 1
-            continue
-        v_r = principal_direction(ref_full[nbr_r])
         cosang = min(1.0, abs(float(np.dot(v_x, v_r))))
         deg = math.degrees(math.acos(cosang))
         per_point[i] = deg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import as_points, load_cloud, write_matrix
-from .errors import ConfigError, DegenerateSketchError
+from .errors import CloudFormatError, ConfigError, DegenerateSketchError
 from .rng import Rng
 
 
@@ -104,4 +104,12 @@ def save_sketch(S: SketchMatrix, path) -> None:
 
 
 def load_sketch(path) -> SketchMatrix:
-    return SketchMatrix(load_cloud(path).points)
+    """Read a basis saved by save_sketch.
+
+    Raises:
+        CloudFormatError: the file does not hold a column-orthonormal basis.
+    """
+    try:
+        return SketchMatrix(load_cloud(path).points)
+    except ValueError as exc:
+        raise CloudFormatError(f"{path}: {exc}") from exc

@@ -197,3 +197,21 @@ def test_bench_writes_one_row_per_dimension(tmp_path):
     n, ms = row.split(",")
     assert n == "60" and float(ms) > 0.0
     assert main(["bench", "--n", "30", "--reps", "1"]) == 2
+
+
+def test_metrics_non_orthonormal_sketch_io_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(gen_args(data))
+    sketch = tmp_path / "sketch.csv"
+    # 8 rows (the data's ambient dimension), columns 0 and 1 equal
+    basis = np.zeros((8, 3))
+    basis[0, 0] = basis[0, 1] = 1.0
+    basis[1, 2] = 1.0
+    sketch.write_text("".join(",".join(format(v, ".17g") for v in row) + "\n"
+                              for row in basis))
+    code = main(["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                 "--sketch", str(sketch), "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "not orthonormal" in err and "sketch.csv" in err
+    assert not (tmp_path / "r.json").exists()

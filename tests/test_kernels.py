@@ -105,3 +105,73 @@ def test_pairwise_dists_exact_on_integer_grid():
     assert D[0, 4] == 4.0
     assert D[1, 3] == 2.0
 
+
+
+def brute_sq_dists(X, Y):
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def near_tie_instance(seed=12):
+    # as in test_min_dists_near_tie_matches_brute_force, plus exact ties:
+    # rows 0-9 have two nearest reference points at the same distance 2^-10
+    rng = np.random.default_rng(seed)
+    X = 1e3 + rng.normal(size=(100, 3))
+    u, v = rng.normal(size=(2, 100, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    Y = np.vstack([X + 0.01 * (1.0 + 1e-8) * u, X + 0.01 * v])
+    X[:10] = np.round(X[:10]) + 16.0 * np.arange(10)[:, None]
+    Y[:10] = X[:10] + [2.0 ** -10, 0.0, 0.0]
+    Y[100:110] = X[:10] - [2.0 ** -10, 0.0, 0.0]
+    return X, Y
+
+
+def antipodal_clusters(seed=15, count=50, size=4):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    anti = [-u + 1e-10 * rng.normal(size=u.shape) for _ in range(size)]
+    return 1e3 + np.vstack([u, *anti])
+
+
+def test_screened_scans_match_brute_force_on_near_ties():
+    X, Y = near_tie_instance()
+    D2 = brute_sq_dists(X, Y)
+    dist, idx = kernels.nearest_rows(X, Y)
+    assert np.array_equal(dist, np.sqrt(D2.min(axis=1)))
+    assert np.array_equal(idx, np.argmin(D2, axis=1))
+    assert np.array_equal(idx[:10], np.arange(10))  # first index on exact ties
+    assert np.array_equal(kernels.min_dists(X, Y), dist)
+    # farthest rows: far from the origin, each point has a cluster of
+    # antipodes whose distances differ by far less than the screen's error
+    Z = antipodal_clusters()
+    F = brute_sq_dists(Z, Z)
+    assert np.array_equal(kernels.max_dists(Z, Z), np.sqrt(F.max(axis=1)))
+    # radius pairs at the near-tie distances, where the screen cannot decide
+    for radius in (2.0 ** -10, 0.01, 0.01 * (1.0 + 0.5e-8), 1.0):
+        rows, cols = kernels.radius_pairs(X, Y, radius)
+        r, c = np.nonzero(D2 < radius * radius)
+        assert np.array_equal(rows, r) and np.array_equal(cols, c)
+
+
+def test_screened_scans_thread_count_bitwise_invariance():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(200, 6))
+    Y = rng.normal(size=(300, 6))
+    pairs = [(kernels.nearest_rows(X, Y, threads=1), kernels.nearest_rows(X, Y, threads=2)),
+             ((kernels.max_dists(X, Y, threads=1),), (kernels.max_dists(X, Y, threads=2),)),
+             (kernels.radius_pairs(X, Y, 2.0, threads=1),
+              kernels.radius_pairs(X, Y, 2.0, threads=2))]
+    for one, two in pairs:
+        for a, b in zip(one, two):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_screened_scans_empty_rows():
+    Y = np.random.default_rng(14).normal(size=(5, 3))
+    dist, idx = kernels.nearest_rows(np.empty((0, 3)), Y)
+    assert dist.shape == idx.shape == (0,)
+    assert kernels.max_dists(np.empty((0, 3)), Y).shape == (0,)
+    rows, cols = kernels.radius_pairs(Y, Y, 1e-3)  # only the self pairs
+    assert np.array_equal(rows, np.arange(5)) and np.array_equal(cols, np.arange(5))

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import oracles
 from mlop.metrics import (background_snr, erode_background, local_pca_angle_error,
-                          nearest_reference_errors, principal_direction,
-                          relative_error, sketched_diameter)
+                          nearest_reference_errors, nearest_reference_masks,
+                          principal_direction, relative_error, sketched_diameter)
 from mlop.sketch import SketchMatrix
 
 S2 = SketchMatrix.identity(2)
@@ -162,3 +164,151 @@ def test_metrics_permutation_invariant():
     b = nearest_reference_errors(Q[perm], ref, S3)
     assert a.rmse == b.rmse and a.max == b.max
     assert relative_error(Q, ref, S3) == relative_error(Q[perm], ref, S3)
+
+
+def test_relative_error_reuses_given_errors_and_diameter():
+    rng = np.random.default_rng(7)
+    ref = rng.normal(size=(80, 3))
+    Q = rng.normal(size=(20, 3))
+    err = nearest_reference_errors(Q, ref, S3)
+    diam = sketched_diameter(ref, S3)
+    want = relative_error(Q, ref, S3)
+    assert relative_error(Q, ref, S3, errors=err, diameter=diam) == want
+    assert relative_error(Q, ref, S3, errors=err) == want
+    assert relative_error(Q, ref, S3, diameter=diam) == want
+    with pytest.raises(ValueError, match="diameter"):
+        relative_error(Q, ref, S3, errors=err, diameter=0.0)
+
+
+def test_nearest_reference_masks_first_index_on_ties():
+    # image 0 is equidistant from reference images 1 and 2; image 1 equals reference 3
+    ref = np.array([[0.0, -9.0], [1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
+    ref_masks = np.arange(8).reshape(4, 2) % 3 == 0
+    images = np.array([[0.0, 0.5], [5.0, 5.0]])
+    out = nearest_reference_masks(images, ref, ref_masks, S2)
+    assert np.array_equal(out, ref_masks[[1, 3]])
+
+
+# ---------------------------------------------------------------------------
+# screened diameter and local-PCA scans against the exact per-point oracles
+# ---------------------------------------------------------------------------
+
+
+def random_sketch(n, m, seed):
+    return SketchMatrix(np.linalg.qr(np.random.default_rng(seed).normal(size=(n, m)))[0])
+
+
+def diameter_clouds():
+    rng = np.random.default_rng(30)
+    yield rng.normal(size=(2, 3)), S3
+    yield rng.normal(size=(300, 3)) * [10.0, 1.0, 1.0], S3
+    yield 1e3 + rng.normal(size=(500, 8)), random_sketch(8, 4, 31)
+    dup = rng.normal(size=(200, 6))
+    yield np.vstack([dup, dup[:50]]), random_sketch(6, 6, 32)
+    # many near-equal farthest pairs: points on a sphere
+    sphere = rng.normal(size=(700, 3))
+    yield sphere / np.linalg.norm(sphere, axis=1, keepdims=True), S3
+    yield rng.uniform(size=(1000, 40)), random_sketch(40, 10, 33)
+    # near-equal farthest pairs far from the origin, below the screen's error
+    u = rng.normal(size=(100, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    yield 1e3 + np.vstack([u] + [-u + 1e-10 * rng.normal(size=u.shape) for _ in range(4)]), S3
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_diameter_matches_exact_blocks(case):
+    X, S = list(diameter_clouds())[case]
+    assert sketched_diameter(X, S) == oracles.exact_diameter(X, S)
+
+
+def assert_matches_oracle(X, ref, h, S, min_neighbors=2):
+    """Bitwise equal results, or the same ValueError, as the per-point oracle."""
+    try:
+        want = oracles.local_pca_angle_error(X, ref, h, S, min_neighbors)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            local_pca_angle_error(X, ref, h, S, min_neighbors)
+        return None
+    got = local_pca_angle_error(X, ref, h, S, min_neighbors)
+    assert np.array_equal(got.per_point, want.per_point, equal_nan=True)
+    assert got.skipped == want.skipped
+    assert got.median_deg == want.median_deg
+    return got
+
+
+def helix(t, n=8):
+    cols = [np.cos(t), np.sin(t), 0.3 * t] + [0.1 * np.cos((k + 2) * t) for k in range(n - 3)]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pca_angle_matches_oracle_random_clouds(seed):
+    rng = np.random.default_rng(40 + seed)
+    X = helix(rng.uniform(0, 6, size=120)) + 0.05 * rng.normal(size=(120, 8))
+    ref = helix(np.linspace(0, 6, 900))
+    S = random_sketch(8, 4, seed)
+    got = assert_matches_oracle(X, ref, 0.4, S)
+    assert got is not None and np.isfinite(got.per_point).sum() > 100
+
+
+def test_pca_angle_matches_oracle_with_skipped_points():
+    rng = np.random.default_rng(50)
+    X = helix(rng.uniform(0, 6, size=80)) + 0.02 * rng.normal(size=(80, 8))
+    X[:3] += 5.0  # isolated: skipped on their own side
+    t = np.linspace(0, 6, 600)
+    ref = helix(t[(t < 1.5) | (t > 3.1)])
+    ref = np.vstack([ref, helix(np.array([2.3]))])  # a reference point with no neighbours
+    X[3:6] = helix(np.array([2.3, 2.31, 2.29]))  # ... nearest to it: skipped on its side
+    got = assert_matches_oracle(X, ref, 0.25, random_sketch(8, 8, 1))
+    assert got.skipped >= 6 and np.all(np.isnan(got.per_point[:6]))
+
+
+def test_pca_angle_matches_oracle_min_neighbors_edges():
+    rng = np.random.default_rng(60)
+    X = helix(rng.uniform(0, 6, size=60)) + 0.03 * rng.normal(size=(60, 8))
+    ref = helix(np.linspace(0, 6, 400))
+    S = random_sketch(8, 4, 2)
+    h = 0.5
+    xs = S.project(X)
+    counts = (np.einsum("ijk,ijk->ij", xs[:, None] - xs[None], xs[:, None] - xs[None])
+              < h * h).sum(axis=1) - 1
+    k = int(np.median(counts))
+    for min_neighbors in (1, 2, k, k + 1, int(counts.max()), int(counts.max()) + 1, 10**6):
+        assert_matches_oracle(X, ref, h, S, min_neighbors)
+    with pytest.raises(ValueError, match="every point was skipped"):
+        local_pca_angle_error(X, ref, h, S, 10**6)
+
+
+def test_pca_angle_matches_oracle_duplicate_rows():
+    rng = np.random.default_rng(70)
+    X = helix(rng.uniform(0, 6, size=50)) + 0.03 * rng.normal(size=(50, 8))
+    X = np.vstack([X, X[:10]])  # duplicated reconstruction points
+    ref = helix(np.linspace(0, 6, 300))
+    ref = np.vstack([ref, ref[::3]])  # duplicated reference points
+    S = random_sketch(8, 4, 3)
+    assert assert_matches_oracle(X, ref, 0.5, S) is not None
+    # three coincident points far from the rest: each one's neighbourhood
+    # is the two others, so both raise "degenerate"
+    X[1:4] = X[0] + 50.0
+    with pytest.raises(ValueError, match="degenerate"):
+        oracles.local_pca_angle_error(X, ref, 0.5, S, 2)
+    assert_matches_oracle(X, ref, 0.5, S, 2)
+    # a degenerate reference neighbourhood is never looked at for a point
+    # skipped on its own side: here the lone point X[1] nearest to it
+    X[1:4] = X[0] - 50.0
+    X[2:4] += 5.0
+    ref = np.vstack([ref, np.repeat(X[1:2] + 0.01, 3, axis=0)])
+    got = assert_matches_oracle(X, ref, 0.5, S, 2)
+    assert got is not None and np.isnan(got.per_point[1])
+
+
+def test_pca_angle_matches_oracle_near_tie_nearest_reference():
+    # evaluated points half way between dyadic reference points: exact ties
+    # under the identity sketch, near ties under a random one
+    grid = np.stack(np.meshgrid(np.arange(12.0) / 4.0, np.arange(6.0) / 2.0), -1)
+    ref = np.hstack([grid.reshape(-1, 2), np.zeros((72, 1))])
+    X = (ref[:-1] + ref[1:]) / 2.0
+    D2 = oracles.sq_dists_block(X, ref)
+    assert np.sum((D2 == D2.min(axis=1, keepdims=True)).sum(axis=1) > 1) >= 60
+    for S in (S3, random_sketch(3, 3, 4)):
+        assert assert_matches_oracle(X, ref, 0.6, S) is not None
