@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .rng import Rng
 
 KINDS = ("o2", "cone_segment", "cylinder2d", "cylinder6d", "ellipse_images", "grid_line")
@@ -89,6 +89,7 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
+        check_fields(cls, d, "dataset setting")
         return cls(**d)
 
     @classmethod

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-input check
+that maps a malformed settings mapping to ConfigError."""
+
+import dataclasses
+import numbers
+import types
+import typing
 
 
 class MlopError(Exception):
@@ -39,3 +45,47 @@ class NumericalAbortError(MlopError):
     def __init__(self, iteration: int, detail: str):
         self.iteration = iteration
         super().__init__(f"numerical abort at iteration {iteration}: {detail}")
+
+
+def _fits(hint, value) -> bool:
+    """Whether value can stand for a field annotated with hint (JSON-level
+    types: any real number for float, integers only for int)."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(a, value) for a in args)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(a, v) for a, v in zip(args, value)))
+    if hint is type(None):
+        return value is None
+    if dataclasses.is_dataclass(hint):  # a nested settings mapping
+        return isinstance(value, dict)
+    if isinstance(value, bool):  # JSON true/false is no number
+        return False
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, hint)
+
+
+def check_fields(cls, d, what: str) -> None:
+    """Raise ConfigError unless d maps field names of the dataclass cls to
+    values of the annotated types, with every field that has no default.
+
+    The message names the offending key, so a saved config that still
+    carries a removed or misspelt setting exits as a configuration error.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what}s must be a mapping, got {type(d).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in fields:
+            raise ConfigError(f"unknown {what} {key!r}")
+    hints = typing.get_type_hints(cls)
+    for name, f in fields.items():
+        if name not in d:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{what} {name!r} is missing")
+        elif not _fits(hints[name], d[name]):
+            raise ConfigError(f"{what} {name!r} must be {f.type}, got {d[name]!r}")

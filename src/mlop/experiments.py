@@ -8,7 +8,6 @@ the solver and writes a summary table of the headline quantities.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from . import solver as solver_mod
 from .cloud import PointCloud, save_cloud, write_matrix
 from .datasets import Dataset, DatasetSpec, make_dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .metrics import (NearestErrors, background_snr, erode_background,
                       local_pca_angle_error, nearest_reference_errors,
                       nearest_reference_masks, relative_error, sketched_diameter)
@@ -55,9 +54,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        missing = {"solver", "out_dir"} - set(d)
-        if missing:
-            raise ConfigError(f"run config is missing {sorted(missing)}")
+        check_fields(cls, d, "run setting")
         return cls(
             solver=SolverConfig.from_dict(d["solver"]),
             out_dir=d["out_dir"],
@@ -68,7 +65,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        return cls.from_dict(d)
 
 # Radius multiplier for local-PCA neighbourhoods: the tangent estimate
 # needs a few rings of neighbours around each point.
@@ -127,16 +128,13 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
                           diameter=diameter)
     rel1 = relative_error(result.q_final, ds.reference, S, threads=threads, errors=err1,
                           diameter=diameter)
-    # the diameter recovered from rel1 can differ from `diameter` in the last
-    # bit; max_rel_error keeps dividing by it so reported values do not move
-    diam = err1.dists.mean() / rel1 if rel1 > 0 else math.nan
     report = ExperimentReport(
         kind=ds.spec.kind,
         relative_error=rel1,
         relative_error_initial=rel0,
         rmse=err1.rmse,
         rmse_initial=err0.rmse,
-        max_rel_error=float(err1.max / diam) if math.isfinite(diam) else None,
+        max_rel_error=float(err1.max / diameter),
         variance=err1.variance,
         fill_distance_initial=fill_distance(q0, S) if q0.size >= 2 else None,
         fill_distance_final=fill_distance(result.q_final, S) if result.q_final.size >= 2 else None,
@@ -301,6 +299,8 @@ def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
     Returns {sigma: {clean_random, noisy, denoised}} of medians over
     bootstraps.
     """
+    if bootstraps < 1:
+        raise ConfigError(f"bootstraps must be at least 1, got {bootstraps}")
     summary: dict = {}
     for sigma in sigmas:
         spec = DatasetSpec(kind="cylinder2d", sample_count=sample_count,

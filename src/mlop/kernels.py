@@ -75,12 +75,9 @@ def _guard_coincident(d2, i0, delta_min):
         )
 
 
-def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket, i0, i1, out):
+def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out):
     d2 = _sq_dists_block(Qs[i0:i1], Ps)
-    hsq = d2 + eps
-    alpha = np.exp(-d2 / h1sq) / np.sqrt(hsq)
-    if bracket:
-        alpha *= 1.0 - 2.0 * hsq / h1sq
+    alpha = np.exp(-d2 / h1sq) / np.sqrt(d2 + eps)
     alpha[d2 > cutsq] = 0.0
     out[i0:i1] = alpha.sum(axis=1)[:, None] * Q[i0:i1] - alpha @ P
 
@@ -186,26 +183,20 @@ def _self_nn_dists_np(Xs, i0, i1, out):
 # ---------------------------------------------------------------------------
 
 
-def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1,
-                      bracket: bool = False):
+def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1):
     """Per reconstruction point, the data-term force sum(alpha_j (q - p_j)).
 
     Q, P are full-dimension rows; Qs, Ps their sketched projections.  Pairs
-    beyond ``cutoff`` in sketched distance are skipped.
-
-    With bracket=False the coefficients are the always-positive median-pull
-    weights w / H (Gaussian weights held fixed under differentiation): this
-    is the direction field the iteration descends, and it keeps every
-    configuration attracted to the data.  With bracket=True the coefficients
-    carry the full-derivative factor (1 - 2 H^2 / h1^2), matching
-    solver.attraction_coeff; on noisy data the bracket sum is negative and
-    that field pushes reconstruction points off the data, so it is exposed
-    for gradient checks, not for iteration.
+    beyond ``cutoff`` in sketched distance are skipped.  The coefficients
+    are the median-pull weights alpha_j = w_j / H_j, with the Gaussian weight
+    w_j = exp(-d^2 / h1^2) and the smoothed distance H_j = sqrt(d^2 + eps):
+    the Weiszfeld step of a weighted L1 median with the weights held fixed,
+    always positive, so every configuration stays attracted to the data.
+    tests/oracles.py holds its per-point scalar reference.
     """
     out = np.empty_like(Q)
     h1sq, cutsq = h1 * h1, cutoff * cutoff
-    _run_chunks(lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, bracket,
-                                              i0, i1, out),
+    _run_chunks(lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out),
                 Q.shape[0], threads)
     return out
 

@@ -26,8 +26,8 @@ from mlop.metrics import nearest_reference_errors
 from mlop.neighborhood import guarantee_radius, predicted_support_count
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix, build_sketch, sketched_dist, sketched_norm
-from mlop.solver import (RunParams, SolverConfig, gradient_at, gradient_batch,
-                         point_cost, run)
+from mlop.solver import RunParams, SolverConfig, run
+from oracles import descended_field, gradient_at, point_cost
 
 
 def report(criterion, passed, detail):
@@ -291,9 +291,9 @@ def test_criterion_8_property_suites():
     # else (partner sums reorder, so equality holds to round-off; strict
     # update-order independence is the bitwise thread check below)
     lam = -np.abs(np.random.default_rng(21).normal(size=15))
-    g = gradient_batch(Q0, pts.points, lam, rp, S)
+    g = descended_field(Q0, pts.points, lam, rp, S)
     perm = np.random.default_rng(22).permutation(15)
-    g_perm = gradient_batch(Q0[perm], pts.points, lam[perm], rp, S)
+    g_perm = descended_field(Q0[perm], pts.points, lam[perm], rp, S)
     snapshot_ok = bool(np.allclose(g_perm, g[perm], rtol=1e-10, atol=1e-12))
     notes.append(f"snapshot-permutation {snapshot_ok}")
 

@@ -215,3 +215,38 @@ def test_metrics_non_orthonormal_sketch_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not orthonormal" in err and "sketch.csv" in err
     assert not (tmp_path / "r.json").exists()
+
+
+INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim": 8, "seed": 7}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", {"solver": {"q_size": 10, "descent_fieldx": "median"}}], "'descent_fieldx'"),
+    (["run", {"solver": {"q_size": 10, "descent_field": "median"}}], "'descent_field'"),
+    (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "bogus": 1}}], "'bogus'"),
+    (["run", {"solver": {"q_size": 10, "step_clamp": 5}}], "'step_clamp'"),
+    (["run", {"solver": {"q_size": 10}, "ouptut": "x"}], "'ouptut'"),
+    (["run", {"solver": {"q_size": 10}, "out_dir": 5}], "'out_dir'"),
+    (["run", "{bad"], "not valid JSON"),
+    (["reproduce", "o2", "--override", "max_iters=abc"], "'max_iters'"),
+], ids=["misspelt-key", "removed-key", "dataset-key", "step-clamp-scalar", "run-key",
+        "out-dir-type", "malformed-json", "override-type"])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, argv, named):
+    if argv[0] == "run":
+        text = argv[1]
+        if isinstance(text, dict):
+            text = json.dumps({"out_dir": str(tmp_path / "out"), "dataset": INLINE, **text})
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = [*argv, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_reproduce_pca_benchmark_rejects_zero_bootstraps(tmp_path, capsys):
+    code = main(["reproduce", "pca-benchmark", "--out", str(tmp_path), "--bootstraps", "0"])
+    assert code == 2
+    assert "bootstraps" in capsys.readouterr().err
+    assert not (tmp_path / "pca_benchmark" / "summary.csv").exists()

@@ -1,8 +1,12 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from mlop import experiments, kernels, metrics
+from mlop import experiments, kernels, metrics, solver
 from mlop.cloud import write_matrix
 from mlop.datasets import DatasetSpec, make_dataset
+from mlop.sketch import SketchMatrix
 from mlop.solver import SolverConfig
 
 
@@ -42,3 +46,24 @@ def test_run_experiment_scores_each_quantity_once(tmp_path, monkeypatch, spec):
     assert report.rmse == err.rmse and report.variance == err.variance
     if ds.masks is not None:
         assert report.snr_final is not None
+
+
+def test_max_rel_error_divides_by_the_computed_diameter():
+    ds = make_dataset(DatasetSpec(kind="cylinder6d", sample_count=300, noise=0.1, seed=0))
+    cfg = SolverConfig(q_size=60, max_iters=3, seed=0)
+    report, result = experiments.run_experiment(ds, cfg)
+    S = result.sketch
+    err = metrics.nearest_reference_errors(result.q_final, ds.reference, S)
+    assert report.max_rel_error == err.max / metrics.sketched_diameter(ds.reference, S)
+
+
+def test_scores_of_a_run_on_the_reference_are_zero():
+    # a zero-iteration run on data that is its own reference: under the
+    # identity sketch every nearest-reference distance is exactly 0
+    ds = make_dataset(DatasetSpec(kind="grid_line", sample_count=24, ambient_dim=8, seed=2))
+    ds = dataclasses.replace(ds, reference=ds.points)
+    cfg = SolverConfig(q_size=8, max_iters=0, sketch_dim=8)
+    result = solver.run(ds.points, cfg, sketch=SketchMatrix.identity(8))
+    report, err = experiments.score_run(ds, result, cfg, 0.0)
+    assert np.all(err.dists == 0.0)
+    assert report.relative_error == 0.0 and report.max_rel_error == 0.0

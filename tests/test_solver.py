@@ -8,10 +8,11 @@ from mlop.cloud import PointCloud
 from mlop.datasets import gen_grid_line
 from mlop.errors import CoincidentPointsError, ConfigError, NumericalAbortError
 from mlop.sketch import SketchMatrix
-from mlop.solver import (RunParams, SolverConfig, attraction_coeff, bb_step,
-                         bb_steps, cost, eta, eta_abs_deriv, gradient_at,
-                         gradient_batch, h_eps_norm, init_lambda, point_cost,
-                         repulsion_coeff, run, write_trace)
+from mlop.solver import (RunParams, SolverConfig, bb_steps, cost, init_lambda, run,
+                         write_trace)
+from oracles import (attraction_coeff, bb_step, descended_field, eta, eta_abs_deriv,
+                     gradient_at, h_eps_norm, median_pull_at, point_cost,
+                     repulsion_coeff)
 
 S8 = SketchMatrix.identity(8)
 S2 = SketchMatrix.identity(2)
@@ -26,7 +27,7 @@ def small_instance(seed, J=20, I=5, n=8):
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
+# scalar reference operations (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
@@ -118,14 +119,37 @@ def test_gradient_matches_finite_differences():
             assert abs(fd - g[c]) / abs(g[c]) < 1e-5
 
 
-def test_gradient_batch_matches_reference():
-    P, Q = small_instance(12)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_descended_field_matches_median_pull_oracle(threads):
+    # enough points for several kernel chunks, and finite cutoffs that drop
+    # some pairs of each class
+    rng = np.random.default_rng(12)
+    P, Q = rng.normal(size=(150, 8)), rng.normal(size=(130, 8))
+    S = SketchMatrix(np.linalg.qr(rng.normal(size=(8, 5)))[0])
     lam = -np.abs(np.random.default_rng(13).normal(size=Q.shape[0]))
     rp = RunParams(h1=1.2, h2=1.4, eps=0.1, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
-    batch = gradient_batch(Q, P, lam, rp, S8)
+    field = descended_field(Q, P, lam, rp, S, threads=threads)
     for i in range(Q.shape[0]):
-        ref = gradient_at(i, Q, P, lam, rp, S8)
-        assert np.allclose(batch[i], ref, rtol=1e-10, atol=1e-12)
+        ref = median_pull_at(i, Q, P, lam, rp, S)
+        assert np.allclose(field[i], ref, rtol=1e-10, atol=1e-12)
+
+
+def test_median_pull_is_gradient_of_frozen_weight_surrogate():
+    """Independent oracle for the descended field: central differences of
+    the per-point energy with its Gaussian weights frozen at the iterate."""
+    rng = np.random.default_rng(18)
+    P, Q = small_instance(18)
+    lam = -np.abs(rng.normal(size=Q.shape[0]))
+    step = 1e-6
+    for i in range(Q.shape[0]):
+        g = median_pull_at(i, Q, P, lam, OPEN_PARAMS, S8)
+        for c in range(Q.shape[1]):
+            qp, qm = Q[i].copy(), Q[i].copy()
+            qp[c] += step
+            qm[c] -= step
+            fd = (point_cost(i, qp, Q, P, lam[i], OPEN_PARAMS, S8, frozen_at=Q[i])
+                  - point_cost(i, qm, Q, P, lam[i], OPEN_PARAMS, S8, frozen_at=Q[i])) / (2 * step)
+            assert abs(fd - g[c]) <= 1e-5 * max(abs(g[c]), 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +221,34 @@ def test_cost_single_term():
     P = np.zeros((1, 8))
     Q = np.zeros((1, 8))
     rp = RunParams(h1=1.0, h2=1.0, eps=0.1, cutoff1=3.0, cutoff2=3.0, delta_min=1e-12)
-    assert cost(Q, P, rp, S8) == pytest.approx(math.sqrt(0.1))
+    assert cost(Q @ S8.s, P @ S8.s, rp, lam=np.zeros(1)) == pytest.approx(math.sqrt(0.1))
 
 
 def test_cost_linear_in_lambda():
     P, Q = small_instance(16)
     rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=5.0, cutoff2=5.0, delta_min=1e-12)
     lam = -np.abs(np.random.default_rng(17).normal(size=Q.shape[0]))
-    e1 = cost(Q, P, rp, S8)
-    g1 = cost(Q, P, rp, S8, lam=lam)
-    g2 = cost(Q, P, rp, S8, lam=2 * lam)
+    Qs, Ps = Q @ S8.s, P @ S8.s
+    e1 = cost(Qs, Ps, rp, lam=np.zeros_like(lam))
+    g1 = cost(Qs, Ps, rp, lam=lam)
+    g2 = cost(Qs, Ps, rp, lam=2 * lam)
     assert g2 - e1 == pytest.approx(2 * (g1 - e1), rel=1e-10)
+
+
+def test_cost_matches_per_point_energy():
+    # G(Q) is the sum of the per-point energies of the oracle
+    P, Q = small_instance(19)
+    rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
+    lam = -np.abs(np.random.default_rng(20).normal(size=Q.shape[0]))
+    total = sum(point_cost(i, Q[i], Q, P, lam[i], rp, S8) for i in range(Q.shape[0]))
+    assert cost(Q @ S8.s, P @ S8.s, rp, lam) == pytest.approx(total, rel=1e-12)
 
 
 def test_cost_rejects_coincident_points():
     Q = np.zeros((2, 8))
     rp = RunParams(h1=1.0, h2=1.0, eps=0.1, cutoff1=3.0, cutoff2=3.0, delta_min=1e-9)
     with pytest.raises(CoincidentPointsError):
-        cost(Q, np.ones((3, 8)), rp, S8, lam=-np.ones(2))
-
-
-def test_cost_descends_under_gradient_field_on_clean_line():
-    line, _ = gen_grid_line(32, 8)
-    cfg = SolverConfig(q_size=16, max_iters=11, seed=1, sketch_dim=8,
-                       descent_field="gradient")
-    res = run(line, cfg, sketch=S8)
-    costs = [t.cost for t in res.trace]
-    increases = sum(1 for a, b in zip(costs, costs[1:]) if b > a + 1e-12)
-    assert increases <= 2
+        cost(Q @ S8.s, np.ones((3, 8)) @ S8.s, rp, lam=-np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -332,5 +356,17 @@ def test_config_validation_and_roundtrip():
         SolverConfig(q_size=1, step_clamp=(2.0, 1.0))
     with pytest.raises(ConfigError):
         SolverConfig(q_size=1, init="midair")
-    with pytest.raises(ConfigError):
-        SolverConfig(q_size=1, descent_field="sideways")
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"q_size": 5, "descent_field": "median"}, "descent_field"),
+    ({"q_size": 5, "step_clamp": 5}, "step_clamp"),
+    ({"q_size": 5, "max_iters": "abc"}, "max_iters"),
+    ({"q_size": 5, "max_iters": 2.5}, "max_iters"),
+    ({"max_iters": 5}, "q_size"),
+    ({"q_size": True}, "q_size"),
+    ([5], "mapping"),
+])
+def test_config_from_dict_names_the_bad_key(d, key):
+    with pytest.raises(ConfigError, match=key):
+        SolverConfig.from_dict(d)
