@@ -11,10 +11,9 @@ from .experiments import (ExperimentConfig, ExperimentReport, reproduce,
 from .metrics import (background_snr, local_pca_angle_error,
                       nearest_reference_errors, relative_error)
 from .neighborhood import (SupportParams, estimate_supports, fill_distance,
-                           guarantee_radius, predicted_support_count)
+                           guarantee_radius)
 from .rng import Rng
-from .sketch import (SketchMatrix, build_sketch, load_sketch, save_sketch,
-                     sketched_dist, sketched_norm)
+from .sketch import SketchMatrix, build_sketch, load_sketch, save_sketch
 from .solver import SolverConfig, SolverResult, run
 
 __version__ = "0.1.0"
@@ -28,10 +27,8 @@ __all__ = [
     "background_snr", "local_pca_angle_error", "nearest_reference_errors",
     "relative_error",
     "SupportParams", "estimate_supports", "fill_distance", "guarantee_radius",
-    "predicted_support_count",
     "Rng",
     "SketchMatrix", "build_sketch", "load_sketch", "save_sketch",
-    "sketched_dist", "sketched_norm",
     "SolverConfig", "SolverResult", "run",
     "__version__",
 ]

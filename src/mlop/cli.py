@@ -1,4 +1,4 @@
-"""Command line interface: gen, run, reproduce, metrics, bench.
+"""Command line interface: gen, run, reproduce, metrics.
 
 Every command is batch and deterministic given its arguments; exit codes are
 0 success, 2 configuration error, 3 numerical abort, 4 I/O error.
@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-
-from . import bench as bench_mod
 from .cloud import load_cloud
 from .datasets import Dataset, DatasetSpec, KINDS, make_dataset
 from .errors import CloudFormatError, ConfigError, NumericalAbortError
@@ -122,17 +120,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    times = bench_mod.dimension_scaling(n_values=args.n, reps=args.reps,
-                                        threads=args.threads, seed=args.seed)
-    text = "n,median_ms\n" + "".join(f"{n},{ms:.3f}\n" for n, ms in times.items())
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mlop",
@@ -182,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_metrics)
 
-    b = sub.add_parser("bench", help="time one solver iteration per ambient dimension")
-    b.add_argument("--n", type=int, nargs="+", default=[60, 120])
-    b.add_argument("--reps", type=int, default=10)
-    b.add_argument("--threads", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_bench)
     return p
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ConfigError, check_fields
+from .errors import CloudFormatError, ConfigError, check_fields
 from .rng import Rng
 
 KINDS = ("o2", "cone_segment", "cylinder2d", "cylinder6d", "ellipse_images", "grid_line")
@@ -94,8 +94,14 @@ class DatasetSpec:
 
     @classmethod
     def from_json(cls, path) -> "DatasetSpec":
+        """Read a bundle's spec.json; a file that is not JSON raises
+        CloudFormatError naming the path, as other malformed bundle files do."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CloudFormatError(f"{path}: not valid JSON ({exc})") from exc
+        return cls.from_dict(d)
 
 
 @dataclass
@@ -271,7 +277,7 @@ def _cylinder6d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
     return out
 
 
-def gen_cylinder6d(J: int, rng: Rng, n: int = 60, radius: float = 1.5,
+def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60, radius: float = 1.5,
                    reference_density: float = 2.0):
     """Six-dimensional cylinder: a five-sphere cross-section (radius scaled by
     radius^2) swept along a direction with ones in the first seven slots.
@@ -279,14 +285,14 @@ def gen_cylinder6d(J: int, rng: Rng, n: int = 60, radius: float = 1.5,
     With six parameters a tensor grid at this budget is hopelessly coarse
     (3-4 samples per axis), so both the data and the reference are drawn
     uniformly at random in parameter space; the reference is
-    reference_density^6 times larger.
+    reference_density^6 times larger.  ``rng`` draws the data parameters and
+    ``ref_rng`` the reference parameters.
     """
     ranges = [(0.0, 2.0)] + [(0.1 * np.pi, 0.6 * np.pi)] * 5
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     params = lo + (hi - lo) * rng.random((J, 6))
     ref_count = int(math.ceil(J * reference_density ** 6))
-    ref_rng = rng.stream("reference")
     ref_params = lo + (hi - lo) * ref_rng.random((ref_count, 6))
     return (
         PointCloud(_cylinder6d_embed(params, n, radius), labels=params),
@@ -386,8 +392,9 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
             reference_density=spec.reference_density)
     elif spec.kind == "cylinder6d":
         clean, reference = gen_cylinder6d(
-            spec.sample_count, root.stream("structure"), n=spec.ambient_dim,
-            radius=spec.radius, reference_density=spec.reference_density)
+            spec.sample_count, root.stream("structure"), root.stream("reference"),
+            n=spec.ambient_dim, radius=spec.radius,
+            reference_density=spec.reference_density)
     elif spec.kind == "ellipse_images":
         clean, masks, reference, ref_masks = gen_ellipse_images(
             spec.sample_count, reference_density=spec.reference_density)

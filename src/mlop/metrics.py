@@ -43,29 +43,29 @@ def nearest_reference_errors(Q, reference, S: SketchMatrix, threads: int = 1) ->
 
 
 def sketched_diameter(X, S: SketchMatrix) -> float:
-    """Largest pairwise sketched distance.
+    """Largest pairwise sketched distance, exact at any size.
 
-    Exact for clouds up to 4096 points: a farthest-row scan screened with
-    the GEMM form and measured by exact differences (kernels.max_dists).
-    Larger clouds use an iterated farthest-point sweep (exact on elongated
-    sets, deterministic always).
+    With c the centroid, r each row's distance to c, R the largest of them
+    (at row ``far``) and L the distance from row ``far`` to its farthest row,
+    any pair longer than L has both ends farther than L - R from c.  Only
+    the rows that pass this test, with the threshold lowered by a margin
+    that covers the rounding of r, R and L, are scanned against each other
+    by kernels.max_dists (screened with the GEMM form, measured by exact
+    differences).  The pair that gives L passes too, so the result is the
+    exact diameter.  A cloud whose points lie near a sphere about c keeps
+    most rows, and its scan costs up to K x K distances.
     """
     xs = S.project(X)
-    K = xs.shape[0]
-    if K < 2:
+    if xs.shape[0] < 2:
         return 0.0
-    if K <= 4096:
-        return float(kernels.max_dists(xs, xs).max())
-    idx = int(np.argmax(np.linalg.norm(xs - xs.mean(axis=0), axis=1)))
-    best = 0.0
-    for _ in range(3):
-        d2 = np.einsum("ij,ij->i", xs - xs[idx], xs - xs[idx])
-        far = int(np.argmax(d2))
-        if d2[far] <= best:
-            break
-        best = float(d2[far])
-        idx = far
-    return math.sqrt(best)
+    centered = xs - xs.mean(axis=0)
+    r = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+    far = int(np.argmax(r))
+    R = float(r[far])
+    L = float(kernels.max_dists(xs[far:far + 1], xs)[0])
+    margin = 4 * (xs.shape[1] + 2) * np.finfo(np.float64).eps * (L + R)
+    kept = xs[r >= L - R - margin]
+    return float(kernels.max_dists(kept, kept).max())
 
 
 def relative_error(Q, reference, S: SketchMatrix, threads: int = 1, *,
@@ -176,11 +176,17 @@ def _top_eigenvector(vals, vecs) -> np.ndarray:
     return v
 
 
-def _principal_directions(point_sets) -> list:
-    """principal_direction of each point set, with the covariances stacked
-    into batched np.linalg.eigh calls (the same LAPACK routine per matrix,
-    so each vector has the bits of a single call).  ``point_sets`` may be a
-    generator: only one set is held at a time."""
+def principal_directions(point_sets) -> list:
+    """Per point set, the first eigenvector of its mean-centered covariance,
+    canonicalized: the largest eigenvalue wins, and of v and -v the one whose
+    first nonzero component is positive is returned, so repeated runs agree
+    bit for bit.
+
+    The covariances are stacked into batched np.linalg.eigh calls (the same
+    LAPACK routine per matrix, so each vector has the bits of a single call).
+    ``point_sets`` may be a generator: only one set of points is held at a
+    time.  A set whose points all coincide raises ValueError.
+    """
     covs = []
     for pts in point_sets:
         centered = pts - pts.mean(axis=0)
@@ -190,15 +196,6 @@ def _principal_directions(point_sets) -> list:
         vals, vecs = np.linalg.eigh(np.stack(covs[k0:k0 + _EIGH_BATCH]))
         out.extend(_top_eigenvector(vals[k], vecs[k]) for k in range(vals.shape[0]))
     return out
-
-
-def principal_direction(points: np.ndarray) -> np.ndarray:
-    """First eigenvector of the mean-centered covariance, canonicalized.
-
-    Largest eigenvalue wins; between v and -v the lexicographically larger
-    vector is returned so repeated runs agree bit for bit.
-    """
-    return _principal_directions([np.asarray(points, dtype=np.float64)])[0]
 
 
 def _radius_neighbours(queries, points, h: float, own) -> list:
@@ -244,11 +241,11 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix,
     _, nearest_ref = kernels.nearest_rows(xs, rs)
     x_nbrs = _radius_neighbours(xs, xs, h, np.arange(n))
     evaluated = [i for i in range(n) if x_nbrs[i].size >= min_neighbors]
-    v_xs = _principal_directions(xs_full[x_nbrs[i]] for i in evaluated)
+    v_xs = principal_directions(xs_full[x_nbrs[i]] for i in evaluated)
     refs = np.unique(nearest_ref[evaluated])
     r_nbrs = _radius_neighbours(rs[refs], rs, h, refs)
     kept = [k for k in range(refs.size) if r_nbrs[k].size >= min_neighbors]
-    v_refs = _principal_directions(ref_full[r_nbrs[k]] for k in kept)
+    v_refs = principal_directions(ref_full[r_nbrs[k]] for k in kept)
     tangent = {int(refs[k]): v for k, v in zip(kept, v_refs)}
     errors = []
     skipped = n - len(evaluated)

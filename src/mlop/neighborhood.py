@@ -151,11 +151,3 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0=None) -> SupportP
     else:
         h2 = h1
     return SupportParams(h0=h0, nu=nu, c1=c1, h_hat0=h1, h1=h1, h2=h2)
-
-
-def predicted_support_count(d: int, nu: int) -> int:
-    """Expected neighbour count at radius 2*sqrt(2)*h_hat0 on a d-dimensional
-    structure: floor(2^(1.5 d) * nu).  Diagnostic only, never enforced."""
-    if d < 1 or nu < 1:
-        raise ValueError("d and nu must be at least 1")
-    return int(math.floor(2.0 ** (1.5 * d) * nu))

@@ -30,7 +30,9 @@ class Rng:
 
     A root stream is ``Rng(seed)``; component streams come from
     ``Rng(seed).stream(name)`` which derives a child PCG64 state via
-    ``SeedSequence(seed, spawn_key=(STREAMS[name],))``.
+    ``SeedSequence(seed, spawn_key=(STREAMS[name],))``.  A component stream
+    has no children of its own: the key depends on the seed and name only,
+    so a nested call would return the root's stream of that name.
     """
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
@@ -43,7 +45,14 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(_seq))
 
     def stream(self, name: str) -> "Rng":
-        """Derive the fixed child stream for a named component."""
+        """Derive the fixed child stream for a named component.
+
+        Raises:
+            ValueError: this is itself a component stream.
+        """
+        if self._seq.spawn_key:
+            raise ValueError(f"stream {name!r} must be derived from the root Rng, "
+                             "not from a component stream")
         key = STREAMS[name]
         child = np.random.SeedSequence(self.seed, spawn_key=(key,))
         return Rng(self.seed, _seq=child)

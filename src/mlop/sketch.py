@@ -81,23 +81,6 @@ def build_sketch(P, m: int, rng: Rng) -> SketchMatrix:
     return SketchMatrix(q)
 
 
-def sketched_norm(S: SketchMatrix, x) -> float:
-    """||S^t x||_2; at most ||x||_2, equal for x in the column span."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != S.n:
-        raise ValueError(f"vector has length {x.shape[-1]}, sketch expects {S.n}")
-    return float(np.linalg.norm(x @ S.s))
-
-
-def sketched_dist(S: SketchMatrix, x, y) -> float:
-    """Sketched distance ||S^t (x - y)||_2 (a seminorm distance)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return sketched_norm(S, x - y)
-
-
 def save_sketch(S: SketchMatrix, path) -> None:
     """Persist the basis as CSV (same layout as a point cloud, m columns)."""
     write_matrix(S.s, path)

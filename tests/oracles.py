@@ -14,6 +14,10 @@ The metric references compute every distance from an exact-difference block
 over the whole set and make one principal-direction call per point, as the
 metrics did before their scans were screened and batched; the screened scans
 must match them bit for bit.
+
+The single-vector sketched norm and distance those references use, and the
+predicted support count that criterion 7 checks, are kept here as well: the
+library itself works on row blocks and never needs them.
 """
 
 import math
@@ -24,10 +28,40 @@ from mlop import kernels
 from mlop.cloud import as_points
 from mlop.errors import CoincidentPointsError
 from mlop.metrics import PcaAngleResult
-from mlop.sketch import SketchMatrix, sketched_dist, sketched_norm
+from mlop.sketch import SketchMatrix
 from mlop.solver import ETA_GUARD, RunParams
 
 CHUNK = 64
+
+
+# ---------------------------------------------------------------------------
+# single-vector sketched norms, predicted support count
+# ---------------------------------------------------------------------------
+
+
+def sketched_norm(S: SketchMatrix, x) -> float:
+    """||S^t x||_2; at most ||x||_2, equal for x in the column span."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != S.n:
+        raise ValueError(f"vector has length {x.shape[-1]}, sketch expects {S.n}")
+    return float(np.linalg.norm(x @ S.s))
+
+
+def sketched_dist(S: SketchMatrix, x, y) -> float:
+    """Sketched distance ||S^t (x - y)||_2 (a seminorm distance)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    return sketched_norm(S, x - y)
+
+
+def predicted_support_count(d: int, nu: int) -> int:
+    """Expected neighbour count at radius 2*sqrt(2)*h_hat0 on a d-dimensional
+    structure: floor(2^(1.5 d) * nu).  Diagnostic only, never enforced."""
+    if d < 1 or nu < 1:
+        raise ValueError("d and nu must be at least 1")
+    return int(math.floor(2.0 ** (1.5 * d) * nu))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,21 @@ def test_run_missing_dataset_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 4
 
 
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_malformed_bundle_spec_io_error(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    main(gen_args(data))
+    (data / "spec.json").write_text("{bad")
+    if command == "run":
+        argv = ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out"))]
+    else:
+        argv = ["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "spec.json" in err and "not valid JSON" in err
+
+
 def test_metrics_missing_cloud_io_error(tmp_path):
     data = tmp_path / "data"
     main(gen_args(data))
@@ -189,14 +204,11 @@ def test_sketch_dim_above_ambient_dim_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
-def test_bench_writes_one_row_per_dimension(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--n", "60", "--reps", "1", "--out", str(out)]) == 0
-    header, row = out.read_text().splitlines()
-    assert header == "n,median_ms"
-    n, ms = row.split(",")
-    assert n == "60" and float(ms) > 0.0
-    assert main(["bench", "--n", "30", "--reps", "1"]) == 2
+def test_bench_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "60"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_metrics_non_orthonormal_sketch_io_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -106,6 +107,19 @@ def test_cylinder6d_unit_cross_section():
     section = p[:, :6] - t[:, None]
     assert np.allclose(np.linalg.norm(section, axis=1), 1.0, atol=1e-10)
     assert ds.reference.size >= 300 * 2 ** 6
+
+
+def test_cylinder6d_draws_from_the_root_streams():
+    ds = make_dataset(DatasetSpec(kind="cylinder6d", sample_count=40, noise=0.1, seed=5))
+    lo = np.array([0.0] + [0.1 * np.pi] * 5)
+    hi = np.array([2.0] + [0.6 * np.pi] * 5)
+    ref = ds.reference.labels
+    assert np.array_equal(ds.clean.labels,
+                          lo + (hi - lo) * Rng(5).stream("structure").random((40, 6)))
+    assert np.array_equal(ref, lo + (hi - lo) * Rng(5).stream("reference").random((2560, 6)))
+    # pinned bytes of the reference parameters: no stream may move a draw
+    assert (hashlib.sha256(ref.tobytes()).hexdigest()
+            == "3c9a1b35dc1d7a7370b7d4917e84ad77ec61e42ce0314ba6a7dbf85fc555104a")
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
-"""Module layout guard: no mlop module reaches into another's private names.
+"""Module layout guards, on parsed (not imported) sources.
 
-Each module of ``src/mlop`` is parsed, not imported.  A private name is one
-with a leading underscore that is not a dunder.  The check fails on
+No mlop module reaches into another's private names: a private name is one
+with a leading underscore that is not a dunder, and the check fails on
 ``from .other import _name`` and on reading ``other._name`` through a name
 bound to another mlop module.
+
+No public top-level function or class of ``src/mlop`` is there for tests
+alone: each is referenced somewhere in ``src/mlop`` outside its own
+definition and ``__init__.py``, or by the benchmark in ``perfbench/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mlop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mlop"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def is_private(name: str) -> bool:
@@ -86,3 +93,67 @@ def test_module_uses_no_private_name_of_another(name):
 ])
 def test_guard_flags_private_reaches(source, flagged):
     assert bool(private_reaches(source, "mlop.metrics")) == flagged
+
+
+def referenced_names(source: str, skip_own_defs: bool = False) -> set[str]:
+    """Every name that ``source`` reads, imports or spells as a string that
+    is a dotted name ("kernels.min_dists" gives both parts; prose does not
+    count).  With ``skip_own_defs`` a top-level definition's references to
+    its own name do not count."""
+    tree = ast.parse(source)
+    names = set()
+    for top in tree.body:
+        own = (getattr(top, "name", None) if skip_own_defs
+               and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.alias):
+                found = {node.name.split(".")[-1]}
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and DOTTED.fullmatch(node.value)):
+                found = set(node.value.split("."))
+            else:
+                continue
+            names |= found - {own}
+    return names
+
+
+def public_defs(source: str) -> list[str]:
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unreferenced_public_defs(library: dict, outside: list) -> list[str]:
+    """"module.name" for each public top-level definition of the library
+    modules (name -> source) that no library module other than __init__, and
+    no source in ``outside``, references."""
+    used = set()
+    for mod, source in library.items():
+        if mod != "__init__":
+            used |= referenced_names(source, skip_own_defs=True)
+    for source in outside:
+        used |= referenced_names(source)
+    return [f"{mod}.{name}" for mod, source in library.items()
+            for name in public_defs(source) if name not in used]
+
+
+def test_every_public_definition_has_a_non_test_user():
+    library = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    perfbench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_public_defs(library, perfbench) == []
+
+
+def test_guard_flags_test_only_definitions():
+    library = {
+        "__init__": "from .a import used, exported_only",
+        "a": "def used(): pass\ndef exported_only(): pass\n"
+             "def recursive(n): return recursive(n - 1)\ndef traced(): pass\n"
+             "class Helper: pass\ndef _private(): pass",
+        "b": "from .a import used\nfrom . import a\nx = a.Helper()",
+    }
+    outside = ['TARGETS = ("a.traced",)', '"""Docstring: see a.recursive."""']
+    assert unreferenced_public_defs(library, outside) == ["a.exported_only", "a.recursive"]

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from mlop.metrics import (background_snr, erode_background, local_pca_angle_error,
                           nearest_reference_errors, nearest_reference_masks,
-                          principal_direction, relative_error, sketched_diameter)
+                          principal_directions, relative_error, sketched_diameter)
 from mlop.sketch import SketchMatrix
 
 S2 = SketchMatrix.identity(2)
@@ -56,17 +56,35 @@ def test_relative_error_degenerate_reference():
         relative_error(np.ones((2, 2)), np.ones((3, 2)), S2)
 
 
-def test_diameter_exact_and_sweep_agree():
+def farthest_point_sweep(xs) -> float:
+    """Iterated farthest-point sweep (at most three steps): a cheap lower
+    bound on the diameter, exact on elongated sets but not in general."""
+    idx = int(np.argmax(np.linalg.norm(xs - xs.mean(axis=0), axis=1)))
+    best = 0.0
+    for _ in range(3):
+        d2 = np.einsum("ij,ij->i", xs - xs[idx], xs - xs[idx])
+        far = int(np.argmax(d2))
+        if d2[far] <= best:
+            break
+        best = float(d2[far])
+        idx = far
+    return math.sqrt(best)
+
+
+def test_diameter_exact_beyond_4096_rows():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(500, 3)) * [10.0, 1.0, 1.0]
-    exact = sketched_diameter(pts, S3)
     brute = 0.0
     for i in range(500):
         brute = max(brute, float(np.linalg.norm(pts - pts[i], axis=1).max()))
-    assert exact == pytest.approx(brute)
-    # elongated set: the farthest-point sweep on a large copy stays exact
-    big = np.vstack([pts] * 10)
-    assert sketched_diameter(big, S3) == pytest.approx(brute)
+    assert sketched_diameter(pts, S3) == pytest.approx(brute)
+    assert sketched_diameter(np.vstack([pts] * 10), S3) == sketched_diameter(pts, S3)
+    # a round cloud on which the sweep stops short of the farthest pair
+    X, S = list(diameter_clouds())[BIG_CASE]
+    exact = oracles.exact_diameter(X, S)
+    assert X.shape[0] > 4096
+    assert farthest_point_sweep(S.project(X)) < exact
+    assert sketched_diameter(X, S) == exact
 
 
 def test_background_snr_hand_value():
@@ -108,11 +126,11 @@ def test_principal_direction_canonical():
     rng = np.random.default_rng(4)
     t = rng.normal(size=40)
     pts = np.outer(t, [1.0, -2.0, 0.5]) + 0.01 * rng.normal(size=(40, 3))
-    v = principal_direction(pts)
+    v, = principal_directions([pts])
     assert v[0] > 0  # canonical sign: first nonzero component positive
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="degenerate"):
-        principal_direction(np.ones((5, 3)))
+        principal_directions([np.ones((5, 3))])
 
 
 def test_pca_angle_zero_for_collinear():
@@ -213,9 +231,17 @@ def diameter_clouds():
     u = rng.normal(size=(100, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     yield 1e3 + np.vstack([u] + [-u + 1e-10 * rng.normal(size=u.shape) for _ in range(4)]), S3
+    yield np.random.default_rng(40).normal(size=(5000, 3)), S3
+    # collinear points far from the origin: the farthest pair's second end
+    # lies on the prune threshold L - R, inside its rounding margin
+    line = np.random.default_rng(3)
+    yield np.outer(line.uniform(size=50), line.normal(size=3)) + 1e3 * line.normal(size=3), S3
 
 
-@pytest.mark.parametrize("case", range(7))
+BIG_CASE = 7
+
+
+@pytest.mark.parametrize("case", range(9))
 def test_diameter_matches_exact_blocks(case):
     X, S = list(diameter_clouds())[case]
     assert sketched_diameter(X, S) == oracles.exact_diameter(X, S)

@@ -5,10 +5,10 @@ import pytest
 
 from mlop.errors import ConfigError, UnreachableSupportError
 from mlop.neighborhood import (C_GROWTH, C_MAX, SupportParams, estimate_supports,
-                               fill_distance, guarantee_radius,
-                               predicted_support_count)
+                               fill_distance, guarantee_radius)
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix
+from oracles import predicted_support_count
 
 S1 = SketchMatrix.identity(1)
 S2 = SketchMatrix.identity(2)

@@ -56,3 +56,9 @@ def test_stream_table_stable():
     assert STREAMS["structure"] == 0
     assert STREAMS["noise"] == 1
     assert STREAMS["sketch"] == 3
+
+
+def test_component_stream_has_no_children():
+    # a nested call would alias the root's stream of the same name
+    with pytest.raises(ValueError, match="root"):
+        Rng(5).stream("structure").stream("reference")

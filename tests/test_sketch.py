@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mlop.cloud import PointCloud
 from mlop.errors import DegenerateSketchError
 from mlop.rng import Rng
-from mlop.sketch import (SketchMatrix, build_sketch, load_sketch, save_sketch,
-                         sketched_dist, sketched_norm)
+from mlop.sketch import SketchMatrix, build_sketch, load_sketch, save_sketch
+from oracles import sketched_dist, sketched_norm
 
 
 def random_cloud(seed, J=50, n=60):
