@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--reference-density", type=float, default=None,
                    help="reference grid density multiplier per parameter axis")
-    g.add_argument("--radius", type=float, default=1.5, help="cylinder radius")
+    g.add_argument("--radius", type=float, default=1.5, help="circle radius (cylinder2d only)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--threads", type=int, default=1)
     rep.add_argument("--bootstraps", type=int, default=10)
     rep.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
-                     help="override any dataset/solver field (repeatable)")
+                     help="override any dataset/solver field but seed and threads, "
+                          "which --seed and --threads set (repeatable)")
     rep.set_defaults(func=cmd_reproduce)
 
     m = sub.add_parser("metrics", help="re-score an existing reconstruction")

@@ -216,8 +216,7 @@ def _cone_embed(params: np.ndarray, n: int) -> np.ndarray:
             + (radial * np.sin(u))[:, None] * v3)
 
 
-def gen_cone_segment(J: int, rng: Rng | None = None, n: int = 60,
-                     reference_density: float = 3.0):
+def gen_cone_segment(J: int, n: int = 60, reference_density: float = 3.0):
     """Cone melting into a line segment: the radial factor exp(-R^2) makes the
     circular part collapse as R grows, so the structure changes dimension."""
     ranges = [(0.0, 2.0), (0.0, 2.5), (0.1 * np.pi, 1.5 * np.pi)]
@@ -240,7 +239,7 @@ def _cylinder2d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
             + (scale * np.sin(u))[:, None] * v3)
 
 
-def gen_cylinder2d(J: int, rng: Rng | None = None, n: int = 60, radius: float = 1.5,
+def gen_cylinder2d(J: int, n: int = 60, radius: float = 1.5,
                    reference_density: float = 3.0):
     """Open cylinder: a circle of the given radius swept along the all-ones
     direction, t in [0, 2], u in [0.1 pi, 1.5 pi]."""
@@ -265,10 +264,10 @@ def sphere5_coords(u: np.ndarray, radius: float) -> np.ndarray:
     return x
 
 
-def _cylinder6d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
-    # The cross-section is the unit five-sphere: scaling it by the nominal
-    # radius (or its square) produces fill-distances several times larger
-    # than any value the reconstruction is benchmarked against.
+def _cylinder6d_embed(params: np.ndarray, n: int) -> np.ndarray:
+    # The cross-section is the unit five-sphere: a radius of 1.5 (or its
+    # square) produces fill-distances several times larger than any value
+    # the reconstruction is benchmarked against.
     t, u = params[:, 0], params[:, 1:]
     x = sphere5_coords(u, 1.0)
     v0 = np.zeros(n); v0[:7] = 1.0
@@ -277,10 +276,10 @@ def _cylinder6d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
     return out
 
 
-def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60, radius: float = 1.5,
+def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60,
                    reference_density: float = 2.0):
-    """Six-dimensional cylinder: a five-sphere cross-section (radius scaled by
-    radius^2) swept along a direction with ones in the first seven slots.
+    """Six-dimensional cylinder: a unit five-sphere cross-section swept along
+    a direction with ones in the first seven slots.
 
     With six parameters a tensor grid at this budget is hopelessly coarse
     (3-4 samples per axis), so both the data and the reference are drawn
@@ -295,8 +294,8 @@ def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60, radius: float = 
     ref_count = int(math.ceil(J * reference_density ** 6))
     ref_params = lo + (hi - lo) * ref_rng.random((ref_count, 6))
     return (
-        PointCloud(_cylinder6d_embed(params, n, radius), labels=params),
-        PointCloud(_cylinder6d_embed(ref_params, n, radius), labels=ref_params),
+        PointCloud(_cylinder6d_embed(params, n), labels=params),
+        PointCloud(_cylinder6d_embed(ref_params, n), labels=ref_params),
     )
 
 
@@ -321,7 +320,7 @@ def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def gen_ellipse_images(J: int, rng: Rng | None = None, reference_density: float = 2.0):
+def gen_ellipse_images(J: int, reference_density: float = 2.0):
     """Centered axis-aligned ellipses with radii on a uniform grid, flattened
     to R^400.  Returns (clean cloud, background masks, reference cloud,
     reference masks)."""
@@ -341,7 +340,7 @@ def gen_ellipse_images(J: int, rng: Rng | None = None, reference_density: float 
     )
 
 
-def gen_grid_line(J: int, n: int, rng: Rng | None = None, reference_density: float = 3.0):
+def gen_grid_line(J: int, n: int, reference_density: float = 3.0):
     """Minimal one-dimensional structure: J equally spaced points on a fixed
     segment of length 2 along the normalized all-ones direction in R^n."""
     direction = np.ones(n) / math.sqrt(n)
@@ -393,8 +392,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     elif spec.kind == "cylinder6d":
         clean, reference = gen_cylinder6d(
             spec.sample_count, root.stream("structure"), root.stream("reference"),
-            n=spec.ambient_dim, radius=spec.radius,
-            reference_density=spec.reference_density)
+            n=spec.ambient_dim, reference_density=spec.reference_density)
     elif spec.kind == "ellipse_images":
         clean, masks, reference, ref_masks = gen_ellipse_images(
             spec.sample_count, reference_density=spec.reference_density)

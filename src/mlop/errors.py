@@ -50,12 +50,8 @@ class NumericalAbortError(MlopError):
 def _fits(hint, value) -> bool:
     """Whether value can stand for a field annotated with hint (JSON-level
     types: any real number for float, integers only for int)."""
-    args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
-        return any(_fits(a, value) for a in args)
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(_fits(a, v) for a, v in zip(args, value)))
+        return any(_fits(a, value) for a in typing.get_args(hint))
     if hint is type(None):
         return value is None
     if dataclasses.is_dataclass(hint):  # a nested settings mapping

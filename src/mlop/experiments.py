@@ -235,13 +235,17 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
     """Run one canned experiment bundle; returns the summary mapping.
 
     overrides may adjust any DatasetSpec / SolverConfig field by name
-    (used for desk-scale smoke runs).
+    (used for desk-scale smoke runs), except seed and threads: seed names
+    both a dataset and a solver field, and the arguments set both.
     """
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
+    overrides = dict(overrides or {})
+    for key in ("seed", "threads"):
+        if key in overrides:
+            raise ConfigError(f"override {key!r} is not supported; use --{key}")
     out = Path(out_root) / name.replace("-", "_")
     out.mkdir(parents=True, exist_ok=True)
-    overrides = dict(overrides or {})
 
     if name == "noise-sweep":
         return _reproduce_noise_sweep(out, seed, threads, overrides)

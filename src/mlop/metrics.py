@@ -135,29 +135,26 @@ def background_snr(images, masks) -> SnrResult:
     return SnrResult(median=float(np.median(finite)), per_image=values, excluded=excluded)
 
 
-def erode_background(masks: np.ndarray, side: int | None = None,
-                     iterations: int = 1) -> np.ndarray:
-    """Shrink flattened background masks away from the foreground boundary.
+def erode_background(masks: np.ndarray) -> np.ndarray:
+    """Shrink flattened square background masks by one pixel away from the
+    foreground boundary.
 
     Smoothed reconstructions carry a thin ghost rim where blended shapes
-    disagree; scoring noise statistics on the interior background (at least
-    ``iterations`` pixels from the boundary) keeps that rim out of the
-    background sample.  Applied to initial and final sets alike.
+    disagree; scoring noise statistics on the interior background keeps that
+    rim out of the background sample.  Applied to initial and final sets
+    alike.
     """
     masks = np.asarray(masks, dtype=bool)
-    if side is None:
-        side = int(round(math.sqrt(masks.shape[1])))
+    side = int(round(math.sqrt(masks.shape[1])))
     if side * side != masks.shape[1]:
         raise ValueError(f"mask length {masks.shape[1]} is not a square image")
-    m = masks.reshape(-1, side, side).copy()
-    for _ in range(iterations):
-        inner = m.copy()
-        inner[:, 1:, :] &= m[:, :-1, :]
-        inner[:, :-1, :] &= m[:, 1:, :]
-        inner[:, :, 1:] &= m[:, :, :-1]
-        inner[:, :, :-1] &= m[:, :, 1:]
-        m = inner
-    return m.reshape(masks.shape[0], -1)
+    m = masks.reshape(-1, side, side)
+    inner = m.copy()
+    inner[:, 1:, :] &= m[:, :-1, :]
+    inner[:, :-1, :] &= m[:, 1:, :]
+    inner[:, :, 1:] &= m[:, :, :-1]
+    inner[:, :, :-1] &= m[:, :, 1:]
+    return inner.reshape(masks.shape[0], -1)
 
 
 # Covariances per stacked eigh call, which bounds memory at 64 n x n blocks.

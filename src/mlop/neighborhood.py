@@ -88,8 +88,7 @@ def _quota_radii(P, Q, nu: int, S: SketchMatrix) -> np.ndarray:
     return out
 
 
-def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix,
-                     c_max: float = C_MAX, growth: float = C_GROWTH) -> tuple[float, float]:
+def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix) -> tuple[float, float]:
     """Smallest grid multiplier c1 whose closed ball of radius c1*h0 around
     every point of Q contains at least nu points of P.
 
@@ -97,7 +96,7 @@ def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix,
         (c1, h_hat0) with h_hat0 = c1 * h0.
 
     Raises:
-        UnreachableSupportError: no multiplier up to c_max works
+        UnreachableSupportError: no multiplier up to C_MAX works
             (pathological clustering).
     """
     if nu < 1:
@@ -107,10 +106,10 @@ def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix,
     needed = float(_quota_radii(P, Q, nu, S).max())
     k = 0
     while True:
-        c = growth ** k
-        if c > c_max:
+        c = C_GROWTH ** k
+        if c > C_MAX:
             raise UnreachableSupportError(
-                f"no multiplier <= {c_max} reaches the quota; "
+                f"no multiplier <= {C_MAX} reaches the quota; "
                 f"worst point needs c >= {needed / h0:.3g}"
             )
         if c * h0 >= needed:
@@ -118,7 +117,7 @@ def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix,
         k += 1
 
 
-def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0=None) -> SupportParams:
+def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams:
     """Estimate the attraction/repulsion support sizes for a run.
 
     h1 comes from the quota radius of the actual reconstruction seed q0
@@ -129,7 +128,8 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0=None) -> SupportP
     Args:
         P: data cloud (J points).
         I: reconstruction size, 1 <= I <= J.
-        q0: optional seed cloud; defaults to a uniform subsample drawn from rng.
+        rng: draws the uniform subsample behind h2.
+        q0: the reconstruction seed (I points).
     """
     pts = as_points(P)
     J = pts.shape[0]
@@ -140,8 +140,6 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0=None) -> SupportP
         )
     nu = J // I
     h0 = fill_distance(pts, S)
-    if q0 is None:
-        q0 = pts[rng.subsample(J, I)]
     c1, h1 = guarantee_radius(pts, q0, h0, nu, S)
     rand_idx = rng.subsample(J, I)
     qr = pts[rand_idx]

@@ -5,7 +5,7 @@ two competing forces: a smoothed-L1 attraction that pulls each point toward
 a robust local median of the data, and a repulsion between reconstruction
 points that spreads them quasi-uniformly.  Scalar coefficients are computed
 from sketched distances; position updates happen in the full ambient space.
-Step sizes follow the Barzilai-Borwein rule with a clamp, and the per-point
+Step sizes follow the Barzilai-Borwein rule with a floor, and the per-point
 balance weights are fixed at the first iteration so the two force terms
 start with equal sketched magnitude.
 
@@ -43,70 +43,54 @@ logger = logging.getLogger(__name__)
 # repulsion singularity; runs use the tighter 1e-9 * h2.
 ETA_GUARD = 1e-12
 
-DEFAULT_CUTOFF_MULT = 2.0 * math.sqrt(2.0)
+# Smoothing of the attraction distance, sqrt(d^2 + eps), as in LOP.
+EPS_H = 0.1
+
+# Pairs farther apart than this multiple of their support carry a Gaussian
+# weight below e^-8 and are skipped.
+CUTOFF_MULT = 2.0 * math.sqrt(2.0)
 
 
 @dataclass
 class SolverConfig:
     """All tunables of a reconstruction run.
 
-    Fields left as None are resolved once the attraction support h1 and the
-    initial gradient are known: stop_tol -> 1e-4 * h1; initial_step -> the
-    value that gives a first displacement of 0.1 * h1 for the largest
-    initial gradient; step_clamp -> (1e-4 * initial_step, unbounded).
-    Independently of the clamp, no point ever moves farther than h1 in one
-    iteration (displacement trust region).  The iteration descends the
-    median-pull field of the module docstring; no setting selects another.
+    Everything else is set from the data once the attraction support h1 and
+    the initial gradient are known: the run stops when the largest sketched
+    gradient falls below 1e-4 * h1; the first step gives the largest initial
+    gradient a displacement of 0.1 * h1; later Barzilai-Borwein steps are
+    floored at 1e-4 times that first step.  No point ever moves farther than
+    h1 in one iteration (displacement trust region).  The iteration descends
+    the median-pull field of the module docstring; no setting selects
+    another.
     """
 
     q_size: int
-    eps_h: float = 0.1
-    stop_tol: float | None = None
     max_iters: int = 500
     sketch_dim: int = 10
-    initial_step: float | None = None
-    step_clamp: tuple[float | None, float | None] = (None, None)
-    neighbor_cutoff_mult: float = DEFAULT_CUTOFF_MULT
     seed: int = 0
     init: str = "random"
     init_index: int = 0
-    init_radius: float | None = None
     threads: int = 1
 
     def __post_init__(self):
         if self.q_size < 1:
             raise ConfigError("q_size must be positive")
-        if self.eps_h <= 0:
-            raise ConfigError("eps_h must be positive")
-        if self.stop_tol is not None and self.stop_tol <= 0:
-            raise ConfigError("stop_tol must be positive")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be non-negative")
         if self.sketch_dim < 1:
             raise ConfigError("sketch_dim must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ConfigError("initial_step must be positive")
-        lo, hi = self.step_clamp
-        if lo is not None and hi is not None and not 0 < lo <= hi:
-            raise ConfigError("step_clamp must satisfy 0 < lo <= hi")
-        if self.neighbor_cutoff_mult <= 0:
-            raise ConfigError("neighbor_cutoff_mult must be positive")
         if self.init not in ("random", "around_point"):
             raise ConfigError(f"unknown init mode {self.init!r}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["step_clamp"] = list(self.step_clamp)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
         check_fields(cls, d, "solver setting")
-        d = dict(d)
-        if "step_clamp" in d:
-            d["step_clamp"] = tuple(d["step_clamp"])
         return cls(**d)
 
 
@@ -122,14 +106,13 @@ class RunParams:
     delta_min: float
 
     @classmethod
-    def from_supports(cls, supports: SupportParams, eps: float,
-                      cutoff_mult: float = DEFAULT_CUTOFF_MULT) -> "RunParams":
+    def from_supports(cls, supports: SupportParams) -> "RunParams":
         return cls(
             h1=supports.h1,
             h2=supports.h2,
-            eps=eps,
-            cutoff1=cutoff_mult * supports.h1,
-            cutoff2=cutoff_mult * supports.h2,
+            eps=EPS_H,
+            cutoff1=CUTOFF_MULT * supports.h1,
+            cutoff2=CUTOFF_MULT * supports.h2,
             delta_min=max(1e-9 * supports.h2, ETA_GUARD),
         )
 
@@ -169,14 +152,14 @@ def init_lambda(attr: np.ndarray, rep: np.ndarray, S: SketchMatrix) -> np.ndarra
     return lam
 
 
-def bb_steps(dq: np.ndarray, dg: np.ndarray, gamma0: float, lo: float, hi: float) -> np.ndarray:
-    """Vectorized per-point BB steps (full-dimension inner products)."""
+def bb_steps(dq: np.ndarray, dg: np.ndarray, gamma0: float, lo: float) -> np.ndarray:
+    """Vectorized per-point BB steps (full-dimension inner products), floored
+    at lo; gamma0 where the quotient is undefined or non-positive."""
     num = np.einsum("ij,ij->i", dq, dg)
     den = np.einsum("ij,ij->i", dg, dg)
     safe = den > 0.0
     raw = np.where(safe, num / np.where(safe, den, 1.0), 0.0)
-    steps = np.where(raw > 0.0, np.clip(raw, lo, hi), gamma0)
-    return steps
+    return np.where(raw > 0.0, np.maximum(raw, lo), gamma0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +200,7 @@ def _init_indices(P: PointCloud, config: SolverConfig, S: SketchMatrix, rng: Rng
     # from its row of S.project(P) in the last bits
     Ps = S.project(P)
     d = kernels.min_dists(Ps, Ps[config.init_index][None, :])
-    if config.init_radius is None:
-        return np.sort(np.argsort(d, kind="stable")[:I])
-    pool = np.flatnonzero(d <= config.init_radius)
-    if pool.size < I:
-        raise ConfigError(
-            f"only {pool.size} points within init_radius {config.init_radius}, need {I}"
-        )
-    return pool[rng.subsample(pool.size, I)]
+    return np.sort(np.argsort(d, kind="stable")[:I])
 
 
 def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverResult:
@@ -268,17 +244,15 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
     q0_idx = _init_indices(P, config, S, root.stream("init"))
     Q = P.points[q0_idx].copy()
     supports = estimate_supports(P, I, S, root.stream("supports"), q0=Q)
-    rp = RunParams.from_supports(supports, config.eps_h, config.neighbor_cutoff_mult)
-
-    stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4 * supports.h1
+    rp = RunParams.from_supports(supports)
+    grad_tol = 1e-4 * supports.h1
 
     Ps = S.project(P)
     threads = config.threads
     lam = q_prev = grad_prev = None
     trace: list[TraceRecord] = []
     converged = False
-    gamma0 = config.initial_step
-    lo, hi = config.step_clamp
+    gamma0 = lo = None
 
     for k in range(config.max_iters):
         t0 = time.perf_counter()
@@ -302,28 +276,23 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
             fill_q = float(np.median(kernels.self_nn_dists(Qs)))
         else:
             fill_q = math.nan
-        if gmax < stop_tol:
+        if gmax < grad_tol:
             converged = True
             wall = (time.perf_counter() - t0) * 1e3
             trace.append(TraceRecord(k, gmax, cost_val, fill_q, wall))
             break
         if k == 0:
-            if gamma0 is None:
-                # Scale-free first step: the largest initial gradient moves
-                # its point by 0.1 * h1.  Gradient magnitudes grow with the
-                # number of in-support samples, so a fixed step length would
-                # not transfer across instance sizes.
-                worst = float(full_norms.max())
-                gamma0 = 0.1 * supports.h1 / worst if worst > 0 else 0.1 * supports.h1
-            lo = lo if lo is not None else 1e-4 * gamma0
-            hi = hi if hi is not None else math.inf
-            if not 0 < lo <= gamma0 <= hi:
-                raise ConfigError(
-                    f"steps must satisfy 0 < {lo:.3g} <= gamma0={gamma0:.3g} <= {hi:.3g}")
+            # Scale-free first step: the largest initial gradient moves its
+            # point by 0.1 * h1.  Gradient magnitudes grow with the number of
+            # in-support samples, so a fixed step length would not transfer
+            # across instance sizes.
+            worst = float(full_norms.max())
+            gamma0 = 0.1 * supports.h1 / worst if worst > 0 else 0.1 * supports.h1
+            lo = 1e-4 * gamma0
             step = np.full(I, gamma0)
         else:
-            step = bb_steps(Q - q_prev, grad - grad_prev, gamma0, lo, hi)
-        # Trust region independent of the clamp: cap each displacement at h1.
+            step = bb_steps(Q - q_prev, grad - grad_prev, gamma0, lo)
+        # Trust region independent of the floor: cap each displacement at h1.
         moving = full_norms > 0
         cap = np.where(moving, supports.h1 / np.where(moving, full_norms, 1.0), math.inf)
         step = np.minimum(step, cap)

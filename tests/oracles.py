@@ -209,9 +209,8 @@ def descended_field(Q, P, lam, rp: RunParams, S: SketchMatrix, threads: int = 1)
     return attr + np.asarray(lam)[:, None] * rep
 
 
-def bb_step(dq: np.ndarray, dg: np.ndarray, gamma0: float,
-            lo: float = 0.0, hi: float = math.inf) -> float:
-    """Barzilai-Borwein step <dq, dg> / <dg, dg>, clamped to [lo, hi].
+def bb_step(dq: np.ndarray, dg: np.ndarray, gamma0: float, lo: float = 0.0) -> float:
+    """Barzilai-Borwein step <dq, dg> / <dg, dg>, floored at lo.
 
     Falls back to gamma0 when <dg, dg> vanishes or the raw value is
     non-positive (the quotient is meaningless on a non-convex landscape
@@ -223,7 +222,7 @@ def bb_step(dq: np.ndarray, dg: np.ndarray, gamma0: float,
     raw = float(np.dot(dq, dg)) / den
     if raw <= 0.0:
         return gamma0
-    return min(max(raw, lo), hi)
+    return max(raw, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,12 @@ INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim":
     (["run", {"solver": {"q_size": 10}, "out_dir": 5}], "'out_dir'"),
     (["run", "{bad"], "not valid JSON"),
     (["reproduce", "o2", "--override", "max_iters=abc"], "'max_iters'"),
+    (["reproduce", "o2", "--override", "max_iters=1", "--override", "seed=3"], "--seed"),
+    (["reproduce", "o2", "--override", "max_iters=1", "--override", "threads=2"],
+     "--threads"),
 ], ids=["misspelt-key", "removed-key", "dataset-key", "step-clamp-scalar", "run-key",
-        "out-dir-type", "malformed-json", "override-type"])
+        "out-dir-type", "malformed-json", "override-type", "override-seed",
+        "override-threads"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, argv, named):
     if argv[0] == "run":
         text = argv[1]

@@ -147,7 +147,9 @@ def test_bad_arguments():
 def test_estimate_supports_nu_floor():
     pts = np.random.default_rng(6).normal(size=(816, 8))
     S = SketchMatrix.identity(8)
-    sup = estimate_supports(pts, 163, S, Rng(0).stream("supports"))
+    rng = Rng(0).stream("supports")
+    q0 = pts[rng.subsample(816, 163)]
+    sup = estimate_supports(pts, 163, S, rng, q0)
     assert sup.nu == 5
     assert sup.h1 > 0 and sup.h2 > 0
     assert sup.h_hat0 == sup.h1
@@ -155,7 +157,8 @@ def test_estimate_supports_nu_floor():
 
 def test_estimate_supports_equal_sizes():
     grid = col(*np.arange(12.0))
-    sup = estimate_supports(grid, 12, S1, Rng(1).stream("supports"))
+    rng = Rng(1).stream("supports")
+    sup = estimate_supports(grid, 12, S1, rng, grid[rng.subsample(12, 12)])
     assert sup.nu == 1
     # every point has a neighbour at distance 1 except the endpoints at 1
     assert sup.h1 == 1.0
@@ -168,7 +171,7 @@ def test_supports_quota_recheckable():
     S = SketchMatrix.identity(3)
     rng = Rng(2).stream("supports")
     q0 = pts[Rng(2).stream("init").subsample(120, 30)]
-    sup = estimate_supports(pts, 30, S, rng, q0=q0)
+    sup = estimate_supports(pts, 30, S, rng, q0)
     for q in q0:
         d = np.linalg.norm(pts - q, axis=1)
         d = np.delete(d, np.argmin(d)) if d.min() == 0.0 else d
@@ -178,13 +181,14 @@ def test_supports_quota_recheckable():
 def test_grid_h2_within_factor_two_of_h1():
     grid = np.stack(np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij"),
                     -1).reshape(-1, 2)
-    sup = estimate_supports(grid, 144, S2, Rng(0).stream("supports"))
+    rng = Rng(0).stream("supports")
+    sup = estimate_supports(grid, 144, S2, rng, grid[rng.subsample(576, 144)])
     assert 0.5 <= sup.h2 / sup.h1 <= 2.0
 
 
 def test_reconstruction_larger_than_data_rejected():
     with pytest.raises(ConfigError, match="I > J|1 <= I <= J"):
-        estimate_supports(col(0, 1, 2), 4, S1, Rng(0))
+        estimate_supports(col(0, 1, 2), 4, S1, Rng(0), col(0, 1, 2, 2))
 
 
 def test_support_params_validation():

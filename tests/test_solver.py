@@ -199,7 +199,7 @@ def test_bb_step_values():
     assert bb_step(2 * g, g, 0.5) == pytest.approx(2.0)
     assert bb_step(g, np.zeros(3), 0.5) == 0.5           # degenerate
     assert bb_step(-g, g, 0.5) == 0.5                    # non-positive raw
-    assert bb_step(2 * g, g, 0.5, lo=0.1, hi=1.5) == 1.5  # clamped
+    assert bb_step(0.01 * g, g, 0.5, lo=0.1) == 0.1      # floored
 
 
 def test_bb_steps_vectorized_matches_scalar():
@@ -207,9 +207,11 @@ def test_bb_steps_vectorized_matches_scalar():
     dq = rng.normal(size=(6, 4))
     dg = rng.normal(size=(6, 4))
     dg[2] = 0.0
-    vec = bb_steps(dq, dg, 0.3, 1e-6, 10.0)
+    dq[4] = 1e-3 * dg[4]  # a positive quotient below the floor
+    vec = bb_steps(dq, dg, 0.3, 0.01)
+    assert vec[4] == 0.01
     for i in range(6):
-        assert vec[i] == pytest.approx(bb_step(dq[i], dg[i], 0.3, 1e-6, 10.0))
+        assert vec[i] == pytest.approx(bb_step(dq[i], dg[i], 0.3, 0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +318,6 @@ def test_around_point_init():
                        init="around_point", init_index=10)
     res = run(pts, cfg, sketch=SketchMatrix.identity(4))
     assert set(res.q0_indices.tolist()) == {9, 10, 11}
-    bad = SolverConfig(q_size=5, max_iters=0, seed=0, sketch_dim=4,
-                       init="around_point", init_index=10, init_radius=1.0)
-    with pytest.raises(ConfigError, match="within init_radius"):
-        run(pts, bad, sketch=SketchMatrix.identity(4))
-
-
-def test_around_point_init_centre_at_distance_zero():
-    # through a random sketch and far from the origin the centre point is
-    # still at sketched distance exactly 0 from itself
-    rng = np.random.default_rng(3)
-    pts = PointCloud(40.0 + rng.normal(size=(30, 8)))
-    S = SketchMatrix(np.linalg.qr(rng.normal(size=(8, 3)))[0])
-    cfg = SolverConfig(q_size=1, max_iters=0, seed=0, sketch_dim=3,
-                       init="around_point", init_index=7, init_radius=0.0)
-    res = run(pts, cfg, sketch=S)
-    assert res.q0_indices.tolist() == [7]
 
 
 def test_trace_csv(tmp_path):
@@ -345,17 +331,16 @@ def test_trace_csv(tmp_path):
 
 
 def test_config_validation_and_roundtrip():
-    cfg = SolverConfig(q_size=5, step_clamp=(0.1, 2.0), init="around_point")
+    cfg = SolverConfig(q_size=5, max_iters=7, sketch_dim=3, seed=2, init="around_point",
+                       init_index=4, threads=2)
+    assert sorted(cfg.to_dict()) == ["init", "init_index", "max_iters", "q_size", "seed",
+                                     "sketch_dim", "threads"]
     back = SolverConfig.from_dict(cfg.to_dict())
     assert back == cfg
-    with pytest.raises(ConfigError):
-        SolverConfig(q_size=0)
-    with pytest.raises(ConfigError):
-        SolverConfig(q_size=1, eps_h=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(q_size=1, step_clamp=(2.0, 1.0))
-    with pytest.raises(ConfigError):
-        SolverConfig(q_size=1, init="midair")
+    for bad in ({"q_size": 0}, {"max_iters": -1}, {"sketch_dim": 0}, {"init": "midair"},
+                {"threads": 0}):
+        with pytest.raises(ConfigError):
+            SolverConfig(**{"q_size": 1, **bad})
 
 
 @pytest.mark.parametrize("d, key", [
@@ -366,6 +351,10 @@ def test_config_validation_and_roundtrip():
     ({"max_iters": 5}, "q_size"),
     ({"q_size": True}, "q_size"),
     ([5], "mapping"),
+    ({"q_size": 5, "eps_h": 0.1}, "eps_h"),
+    ({"q_size": 5, "stop_tol": 1e-3}, "stop_tol"),
+    ({"q_size": 5, "init_radius": 1.0}, "init_radius"),
+    ({"q_size": 5, "step_clamp": [0.1, 2.0]}, "step_clamp"),
 ])
 def test_config_from_dict_names_the_bad_key(d, key):
     with pytest.raises(ConfigError, match=key):

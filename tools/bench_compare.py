@@ -8,9 +8,11 @@
 Each repeat runs every workload once on each checkout, the parent first on
 even repeats and the change first on odd ones, so a slow stretch of the host
 falls on both sides.  Every run is its own ``perfbench/run.py`` process,
-started from the root of its checkout.  The file keeps every reading and,
-per side, the median, the quartiles and IQR/median, plus the ratio of the
-change's median to the parent's.
+started from the root of its checkout.  The file keeps every metric of every
+run under ``runs``, so a set can be re-read for a metric not named by
+``--metrics``.  For the named metrics it adds, per side, the median, the
+quartiles and IQR/median, plus the ratio of the change's median to the
+parent's.
 """
 
 import argparse
@@ -91,7 +93,8 @@ def main(argv=None) -> int:
         "env": {side: next((r["env"] for r in runs if r["side"] == side and r["env"]), {})
                 for side in sides},
         "workloads": workloads,
-        "runs": [{k: r[k] for k in ("repeat", "workload", "side", "correct", "steal")}
+        "runs": [{k: r[k] for k in ("repeat", "workload", "side", "correct", "steal",
+                                    "metrics")}
                  for r in runs],
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
