@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from .cloud import load_cloud
-from .datasets import Dataset, DatasetSpec, KINDS, make_dataset
+from .datasets import (DatasetSpec, KINDS, load_dataset_dir, make_dataset,
+                       write_dataset)
 from .errors import CloudFormatError, ConfigError, NumericalAbortError
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, ExperimentReport,
-                          reproduce, run_experiment, write_dataset)
+                          reproduce, run_experiment)
 from .metrics import (background_snr, erode_background, nearest_reference_errors,
                       nearest_reference_masks, relative_error)
 from .neighborhood import fill_distance
@@ -33,31 +34,9 @@ def _out_root(value: str | None) -> Path:
     return Path(os.environ.get(DEFAULT_OUT_ROOT_ENV, "runs"))
 
 
-def load_dataset_dir(path) -> Dataset:
-    """Re-assemble a dataset bundle written by ``gen``."""
-    d = Path(path)
-    spec = DatasetSpec.from_json(d / "spec.json")
-    points = load_cloud(d / "P.csv")
-    reference = load_cloud(d / "reference.csv")
-    masks = ref_masks = None
-    if (d / "masks.csv").exists():
-        masks = load_cloud(d / "masks.csv").points.astype(bool)
-        ref_masks = load_cloud(d / "reference_masks.csv").points.astype(bool)
-    return Dataset(spec=spec, points=points, reference=reference,
-                   masks=masks, reference_masks=ref_masks)
-
-
 def cmd_gen(args) -> int:
-    spec = DatasetSpec(
-        kind=args.kind,
-        sample_count=args.count,
-        noise=args.noise,
-        gaussian_sigma=args.gaussian_sigma,
-        ambient_dim=args.ambient_dim,
-        seed=args.seed,
-        reference_density=args.reference_density,
-        radius=args.radius,
-    )
+    spec = DatasetSpec(kind=args.kind, sample_count=args.count, noise=args.noise,
+                       ambient_dim=args.ambient_dim, seed=args.seed)
     ds = make_dataset(spec)
     write_dataset(ds, args.out)
     print(f"wrote dataset '{spec.kind}' ({ds.points.size} points, "
@@ -130,14 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a synthetic dataset bundle")
     g.add_argument("--kind", required=True, choices=KINDS)
     g.add_argument("--count", type=int, required=True, help="number of samples J")
-    g.add_argument("--noise", type=float, default=0.0, help="uniform noise half-width")
-    g.add_argument("--gaussian-sigma", type=float, default=0.05,
-                   help="per-pixel gaussian noise (image datasets)")
+    g.add_argument("--noise", type=float, default=0.0,
+                   help="noise magnitude: the per-pixel gaussian sigma for "
+                        "ellipse_images, the uniform per-coordinate half-width "
+                        "for every other kind (default 0, noise-free)")
     g.add_argument("--ambient-dim", type=int, default=None)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--reference-density", type=float, default=None,
-                   help="reference grid density multiplier per parameter axis")
-    g.add_argument("--radius", type=float, default=1.5, help="circle radius (cylinder2d only)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 

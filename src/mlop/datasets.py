@@ -2,8 +2,12 @@
 
 Every generator samples a parameter tensor grid ("equally distributed in
 parameter space"), embeds it in the ambient space, and also produces a
-noise-free reference sampled reference_density times denser per parameter
+noise-free reference sampled REF_DENSITY[kind] times denser per parameter
 axis.  Generators are deterministic given their spec seed.
+
+A dataset bundle on disk is the directory ``write_dataset`` fills and
+``load_dataset_dir`` reads: P.csv, reference.csv, spec.json, plus masks.csv
+and reference_masks.csv for image sets.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, load_cloud, save_cloud, write_matrix
 from .errors import CloudFormatError, ConfigError, check_fields
 from .rng import Rng
 
@@ -30,8 +35,8 @@ _DEFAULT_AMBIENT = {
 }
 
 # Per-axis multiplier for the reference grid.  The six-parameter cylinder
-# gets a lower default because its reference size grows with the sixth power.
-_DEFAULT_REF_DENSITY = {
+# gets a lower one because its reference size grows with the sixth power.
+REF_DENSITY = {
     "o2": 3.0,
     "cone_segment": 3.0,
     "cylinder2d": 3.0,
@@ -40,6 +45,9 @@ _DEFAULT_REF_DENSITY = {
     "grid_line": 3.0,
 }
 
+# Circle radius of the plane cylinder; no other kind has a radius.
+CYLINDER2D_RADIUS = 1.5
+
 IMAGE_SIDE = 20
 ELLIPSE_GRID = 30
 ELLIPSE_RADIUS_RANGE = (3.0, 8.0)
@@ -47,32 +55,28 @@ ELLIPSE_RADIUS_RANGE = (3.0, 8.0)
 
 @dataclass
 class DatasetSpec:
-    """Declarative description of one generated dataset."""
+    """Declarative description of one generated dataset.
+
+    noise is the kind's one noise magnitude: the half-width of the uniform
+    per-coordinate noise on the geometric kinds, and the sigma of the
+    per-pixel Gaussian noise on ellipse_images.
+    """
 
     kind: str
     sample_count: int
     noise: float = 0.0
-    gaussian_sigma: float = 0.05
     ambient_dim: int | None = None
     seed: int = 0
-    reference_density: float | None = None
-    radius: float = 1.5
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; choose from {KINDS}")
         if self.sample_count < 2:
             raise ConfigError("sample_count must be at least 2")
-        if self.noise < 0 or self.gaussian_sigma < 0:
-            raise ConfigError("noise magnitudes must be non-negative")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
+        if self.noise < 0:
+            raise ConfigError("noise must be non-negative")
         if self.ambient_dim is None:
             self.ambient_dim = _DEFAULT_AMBIENT[self.kind]
-        if self.reference_density is None:
-            self.reference_density = _DEFAULT_REF_DENSITY[self.kind]
-        if self.reference_density < 1:
-            raise ConfigError("reference_density must be at least 1")
         min_dim = 7 if self.kind == "cylinder6d" else 4
         if self.kind == "ellipse_images":
             if self.ambient_dim != IMAGE_SIDE * IMAGE_SIDE:
@@ -185,7 +189,7 @@ def _o2_embed(theta: np.ndarray, n: int) -> np.ndarray:
     return _embed_rows(coords, n)
 
 
-def gen_o2(J: int, rng: Rng, n: int = 60, reference_density: float = 3.0):
+def gen_o2(J: int, rng: Rng, n: int = 60):
     """Rotation-matrix circle: [cos t, -sin t, sin t, cos t, 0, ...] mixed by
     a random orthogonal map so the structure is spread over all coordinates.
 
@@ -195,7 +199,7 @@ def gen_o2(J: int, rng: Rng, n: int = 60, reference_density: float = 3.0):
     A = random_orthogonal(n, rng)
     theta = np.linspace(-np.pi, np.pi, J, endpoint=False)
     pts = _o2_embed(theta, n) @ A.T
-    ref_count = int(math.ceil(J * reference_density))
+    ref_count = int(math.ceil(J * REF_DENSITY["o2"]))
     theta_ref = np.linspace(-np.pi, np.pi, ref_count, endpoint=False)
     ref = _o2_embed(theta_ref, n) @ A.T
     return (
@@ -216,12 +220,12 @@ def _cone_embed(params: np.ndarray, n: int) -> np.ndarray:
             + (radial * np.sin(u))[:, None] * v3)
 
 
-def gen_cone_segment(J: int, n: int = 60, reference_density: float = 3.0):
+def gen_cone_segment(J: int, n: int = 60):
     """Cone melting into a line segment: the radial factor exp(-R^2) makes the
     circular part collapse as R grows, so the structure changes dimension."""
     ranges = [(0.0, 2.0), (0.0, 2.5), (0.1 * np.pi, 1.5 * np.pi)]
     params = _tensor_grid(ranges, J)
-    ref_params = _tensor_grid(ranges, int(math.ceil(J * reference_density ** 3)))
+    ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cone_segment"] ** 3)))
     return (
         PointCloud(_cone_embed(params, n), labels=params),
         PointCloud(_cone_embed(ref_params, n), labels=ref_params),
@@ -239,16 +243,15 @@ def _cylinder2d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
             + (scale * np.sin(u))[:, None] * v3)
 
 
-def gen_cylinder2d(J: int, n: int = 60, radius: float = 1.5,
-                   reference_density: float = 3.0):
-    """Open cylinder: a circle of the given radius swept along the all-ones
-    direction, t in [0, 2], u in [0.1 pi, 1.5 pi]."""
+def gen_cylinder2d(J: int, n: int = 60):
+    """Open cylinder: a circle of radius CYLINDER2D_RADIUS swept along the
+    all-ones direction, t in [0, 2], u in [0.1 pi, 1.5 pi]."""
     ranges = [(0.0, 2.0), (0.1 * np.pi, 1.5 * np.pi)]
     params = _tensor_grid(ranges, J)
-    ref_params = _tensor_grid(ranges, int(math.ceil(J * reference_density ** 2)))
+    ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cylinder2d"] ** 2)))
     return (
-        PointCloud(_cylinder2d_embed(params, n, radius), labels=params),
-        PointCloud(_cylinder2d_embed(ref_params, n, radius), labels=ref_params),
+        PointCloud(_cylinder2d_embed(params, n, CYLINDER2D_RADIUS), labels=params),
+        PointCloud(_cylinder2d_embed(ref_params, n, CYLINDER2D_RADIUS), labels=ref_params),
     )
 
 
@@ -276,22 +279,21 @@ def _cylinder6d_embed(params: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60,
-                   reference_density: float = 2.0):
+def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60):
     """Six-dimensional cylinder: a unit five-sphere cross-section swept along
     a direction with ones in the first seven slots.
 
     With six parameters a tensor grid at this budget is hopelessly coarse
     (3-4 samples per axis), so both the data and the reference are drawn
     uniformly at random in parameter space; the reference is
-    reference_density^6 times larger.  ``rng`` draws the data parameters and
+    REF_DENSITY["cylinder6d"]^6 times larger.  ``rng`` draws the data parameters and
     ``ref_rng`` the reference parameters.
     """
     ranges = [(0.0, 2.0)] + [(0.1 * np.pi, 0.6 * np.pi)] * 5
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     params = lo + (hi - lo) * rng.random((J, 6))
-    ref_count = int(math.ceil(J * reference_density ** 6))
+    ref_count = int(math.ceil(J * REF_DENSITY["cylinder6d"] ** 6))
     ref_params = lo + (hi - lo) * ref_rng.random((ref_count, 6))
     return (
         PointCloud(_cylinder6d_embed(params, n), labels=params),
@@ -320,17 +322,19 @@ def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def gen_ellipse_images(J: int, reference_density: float = 2.0):
+def gen_ellipse_images(J: int):
     """Centered axis-aligned ellipses with radii on a uniform grid, flattened
     to R^400.  Returns (clean cloud, background masks, reference cloud,
-    reference masks)."""
+    reference masks).  ``make_dataset`` adds the spec's noise as per-pixel
+    Gaussian noise of that sigma (``add_image_noise``)."""
     grid = _ellipse_radii_grid(ELLIPSE_GRID)
     if J > grid.shape[0]:
         raise ConfigError(f"at most {grid.shape[0]} ellipse samples available")
     take = (np.arange(J) * grid.shape[0]) // J
     radii = grid[take]
     imgs, masks = _ellipse_images(radii)
-    ref_radii = _ellipse_radii_grid(int(math.ceil(ELLIPSE_GRID * reference_density)))
+    ref_per_axis = int(math.ceil(ELLIPSE_GRID * REF_DENSITY["ellipse_images"]))
+    ref_radii = _ellipse_radii_grid(ref_per_axis)
     ref_imgs, ref_masks = _ellipse_images(ref_radii)
     return (
         PointCloud(imgs, labels=radii),
@@ -340,12 +344,12 @@ def gen_ellipse_images(J: int, reference_density: float = 2.0):
     )
 
 
-def gen_grid_line(J: int, n: int, reference_density: float = 3.0):
+def gen_grid_line(J: int, n: int):
     """Minimal one-dimensional structure: J equally spaced points on a fixed
     segment of length 2 along the normalized all-ones direction in R^n."""
     direction = np.ones(n) / math.sqrt(n)
     t = np.linspace(0.0, 2.0, J)
-    t_ref = np.linspace(0.0, 2.0, int(math.ceil(J * reference_density)))
+    t_ref = np.linspace(0.0, 2.0, int(math.ceil(J * REF_DENSITY["grid_line"])))
     return (
         PointCloud(t[:, None] * direction, labels=t[:, None]),
         PointCloud(t_ref[:, None] * direction, labels=t_ref[:, None]),
@@ -372,40 +376,68 @@ def add_image_noise(P: PointCloud, sigma: float, rng: Rng) -> PointCloud:
 
 
 def make_dataset(spec: DatasetSpec) -> Dataset:
-    """Generate the full dataset bundle described by the spec."""
+    """Generate the full dataset bundle described by the spec.
+
+    The spec's noise goes to ``add_image_noise`` as the pixel sigma for
+    ellipse_images and to ``add_uniform_noise`` as the half-width for every
+    other kind; noise 0 leaves the samples on the structure.
+    """
     root = Rng(spec.seed)
     masks = ref_masks = None
     extras: dict = {}
     if spec.kind == "o2":
-        clean, reference, A = gen_o2(
-            spec.sample_count, root.stream("mixing"), n=spec.ambient_dim,
-            reference_density=spec.reference_density)
+        clean, reference, A = gen_o2(spec.sample_count, root.stream("mixing"),
+                                     n=spec.ambient_dim)
         extras["mixing"] = A
     elif spec.kind == "cone_segment":
-        clean, reference = gen_cone_segment(
-            spec.sample_count, n=spec.ambient_dim,
-            reference_density=spec.reference_density)
+        clean, reference = gen_cone_segment(spec.sample_count, n=spec.ambient_dim)
     elif spec.kind == "cylinder2d":
-        clean, reference = gen_cylinder2d(
-            spec.sample_count, n=spec.ambient_dim, radius=spec.radius,
-            reference_density=spec.reference_density)
+        clean, reference = gen_cylinder2d(spec.sample_count, n=spec.ambient_dim)
     elif spec.kind == "cylinder6d":
         clean, reference = gen_cylinder6d(
             spec.sample_count, root.stream("structure"), root.stream("reference"),
-            n=spec.ambient_dim, reference_density=spec.reference_density)
+            n=spec.ambient_dim)
     elif spec.kind == "ellipse_images":
-        clean, masks, reference, ref_masks = gen_ellipse_images(
-            spec.sample_count, reference_density=spec.reference_density)
+        clean, masks, reference, ref_masks = gen_ellipse_images(spec.sample_count)
     elif spec.kind == "grid_line":
-        clean, reference = gen_grid_line(
-            spec.sample_count, spec.ambient_dim,
-            reference_density=spec.reference_density)
+        clean, reference = gen_grid_line(spec.sample_count, spec.ambient_dim)
     else:  # pragma: no cover - spec validation rejects this earlier
         raise ConfigError(f"unknown dataset kind {spec.kind!r}")
 
-    if spec.kind == "ellipse_images":
-        noisy = add_image_noise(clean, spec.gaussian_sigma, root.stream("noise"))
-    else:
-        noisy = add_uniform_noise(clean, spec.noise, root.stream("noise"))
+    add_noise = add_image_noise if spec.kind == "ellipse_images" else add_uniform_noise
+    noisy = add_noise(clean, spec.noise, root.stream("noise"))
     return Dataset(spec=spec, points=noisy, clean=clean, reference=reference,
                    masks=masks, reference_masks=ref_masks, extras=extras)
+
+
+# ---------------------------------------------------------------------------
+# bundle layout shared by the gen / run / metrics commands
+# ---------------------------------------------------------------------------
+
+
+def write_dataset(ds: Dataset, out_dir) -> None:
+    """Write a dataset bundle; a rerun of the same spec is byte-identical."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_cloud(ds.points, out / "P.csv")
+    save_cloud(ds.reference, out / "reference.csv")
+    if ds.masks is not None:
+        write_matrix(ds.masks.astype(np.float64), out / "masks.csv")
+        write_matrix(ds.reference_masks.astype(np.float64), out / "reference_masks.csv")
+    with open(out / "spec.json", "w", encoding="ascii") as fh:
+        json.dump(ds.spec.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_dataset_dir(path) -> Dataset:
+    """Re-assemble a dataset bundle written by ``write_dataset``."""
+    d = Path(path)
+    spec = DatasetSpec.from_json(d / "spec.json")
+    points = load_cloud(d / "P.csv")
+    reference = load_cloud(d / "reference.csv")
+    masks = ref_masks = None
+    if (d / "masks.csv").exists():
+        masks = load_cloud(d / "masks.csv").points.astype(bool)
+        ref_masks = load_cloud(d / "reference_masks.csv").points.astype(bool)
+    return Dataset(spec=spec, points=points, reference=reference,
+                   masks=masks, reference_masks=ref_masks)

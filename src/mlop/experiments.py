@@ -181,6 +181,7 @@ EXPERIMENT_NAMES = ("o2", "cone", "cylinder2d", "noise-sweep", "cylinder6d",
                     "ellipses", "pca-benchmark")
 
 NOISE_SWEEP_SIGMAS = (0.0, 0.1, 0.2, 0.5)
+PCA_SIGMAS = (0.1, 0.2)
 
 
 def _base_recipe(name: str, seed: int) -> tuple[DatasetSpec, SolverConfig]:
@@ -200,8 +201,7 @@ def _base_recipe(name: str, seed: int) -> tuple[DatasetSpec, SolverConfig]:
         spec = DatasetSpec(kind="cylinder6d", sample_count=1200, noise=0.1, seed=seed)
         cfg = SolverConfig(q_size=460, max_iters=300, seed=seed, init="random")
     elif name == "ellipses":
-        spec = DatasetSpec(kind="ellipse_images", sample_count=900,
-                           gaussian_sigma=0.05, seed=seed)
+        spec = DatasetSpec(kind="ellipse_images", sample_count=900, noise=0.05, seed=seed)
         cfg = SolverConfig(q_size=180, max_iters=1000, seed=seed, init="random")
     else:
         raise ConfigError(f"no base recipe for {name!r}")
@@ -236,7 +236,8 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
 
     overrides may adjust any DatasetSpec / SolverConfig field by name
     (used for desk-scale smoke runs), except seed and threads: seed names
-    both a dataset and a solver field, and the arguments set both.
+    both a dataset and a solver field, and the arguments set both.  The
+    noise-sweep recipe sets noise itself and rejects an override of it.
     """
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
@@ -271,10 +272,12 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
 
 
 def _reproduce_noise_sweep(out: Path, seed: int, threads: int, overrides: dict) -> dict:
-    sigmas = overrides.pop("sigmas", NOISE_SWEEP_SIGMAS)
+    if "noise" in overrides:
+        raise ConfigError("override 'noise' is not supported; noise-sweep sets it "
+                          f"to each of {NOISE_SWEEP_SIGMAS}")
     rows = []
     reports = {}
-    for sigma in sigmas:
+    for sigma in NOISE_SWEEP_SIGMAS:
         spec, cfg = _base_recipe("cylinder2d", seed)
         spec, cfg = _apply_overrides(spec, cfg, dict(overrides, noise=float(sigma)))
         cfg.threads = threads
@@ -292,11 +295,12 @@ def _pca_error_of(points: PointCloud, reference: PointCloud, S: SketchMatrix) ->
 
 
 def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
-                  subset_size: int = 160, sigmas=(0.1, 0.2),
-                  sample_count: int = 816, max_iters: int = 500) -> dict:
+                  subset_size: int = 160, sample_count: int = 816,
+                  max_iters: int = 500) -> dict:
     """Local-PCA tangent accuracy on five dataset families, all of the
-    subset size: clean random samples, noisy samples at two levels, and the
-    reconstructions denoised from those same noisy samples.
+    subset size: clean random samples, noisy samples at the two levels of
+    PCA_SIGMAS, and the reconstructions denoised from those same noisy
+    samples.
 
     Each bootstrap draws a fresh subset; the denoised set is produced by
     running the solver on that subset with q_size equal to its size.
@@ -306,7 +310,7 @@ def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
     if bootstraps < 1:
         raise ConfigError(f"bootstraps must be at least 1, got {bootstraps}")
     summary: dict = {}
-    for sigma in sigmas:
+    for sigma in PCA_SIGMAS:
         spec = DatasetSpec(kind="cylinder2d", sample_count=sample_count,
                            noise=float(sigma), seed=seed)
         ds = make_dataset(spec)
@@ -333,7 +337,7 @@ def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
 def _reproduce_pca_benchmark(out: Path, seed: int, threads: int, overrides: dict,
                              bootstraps: int) -> dict:
     kwargs = {}
-    for key in ("subset_size", "sigmas", "sample_count", "max_iters"):
+    for key in ("subset_size", "sample_count", "max_iters"):
         if key in overrides:
             kwargs[key] = overrides.pop(key)
     if overrides:
@@ -345,21 +349,3 @@ def _reproduce_pca_benchmark(out: Path, seed: int, threads: int, overrides: dict
             rows.append([name, float(sigma), vals[name]])
     _write_summary(out / "summary.csv", ["dataset", "sigma", "pca_angle_deg"], rows)
     return {"pca": summary}
-
-
-# ---------------------------------------------------------------------------
-# dataset file layout shared by the gen / run / metrics commands
-# ---------------------------------------------------------------------------
-
-
-def write_dataset(ds: Dataset, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_cloud(ds.points, out / "P.csv")
-    save_cloud(ds.reference, out / "reference.csv")
-    if ds.masks is not None:
-        write_matrix(ds.masks.astype(np.float64), out / "masks.csv")
-        write_matrix(ds.reference_masks.astype(np.float64), out / "reference_masks.csv")
-    with open(out / "spec.json", "w", encoding="ascii") as fh:
-        json.dump(ds.spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

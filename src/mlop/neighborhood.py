@@ -71,21 +71,20 @@ def _quota_radii(P, Q, nu: int, S: SketchMatrix) -> np.ndarray:
     """Per reconstruction point, the nu-th smallest sketched distance to P.
 
     A point is not its own neighbour: when the centre coincides exactly with
-    a data point (Q drawn from P), one zero distance is discarded.
+    a data point (Q drawn from P), one zero distance is discarded, so such a
+    row reads its (nu+1)-th smallest distance instead.
     """
     D = kernels.pairwise_dists(S.project(Q), S.project(P))
-    out = np.empty(D.shape[0])
-    for i, row in enumerate(D):
-        r = row
-        if r.min() == 0.0:
-            z = np.flatnonzero(r == 0.0)[:1]
-            r = np.delete(r, z)
-        if nu > r.size:
-            raise UnreachableSupportError(
-                f"point {i} has only {r.size} candidate neighbours, needs {nu}"
-            )
-        out[i] = np.partition(r, nu - 1)[nu - 1]
-    return out
+    has_zero = D.min(axis=1) == 0.0
+    candidates = D.shape[1] - has_zero
+    short = np.flatnonzero(candidates < nu)
+    if short.size:
+        i = int(short[0])
+        raise UnreachableSupportError(
+            f"point {i} has only {candidates[i]} candidate neighbours, needs {nu}"
+        )
+    D.partition([nu - 1, nu] if nu < D.shape[1] else [nu - 1], axis=1)
+    return D[np.arange(D.shape[0]), nu - 1 + has_zero]
 
 
 def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix) -> tuple[float, float]:

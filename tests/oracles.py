@@ -18,6 +18,11 @@ must match them bit for bit.
 The single-vector sketched norm and distance those references use, and the
 predicted support count that criterion 7 checks, are kept here as well: the
 library itself works on row blocks and never needs them.
+
+The quota-radius reference selects each row's order statistic with its own
+delete and partition calls, as the support estimate did before it
+partitioned the whole distance matrix at once; the two must agree bit for
+bit.
 """
 
 import math
@@ -26,7 +31,7 @@ import numpy as np
 
 from mlop import kernels
 from mlop.cloud import as_points
-from mlop.errors import CoincidentPointsError
+from mlop.errors import CoincidentPointsError, UnreachableSupportError
 from mlop.metrics import PcaAngleResult
 from mlop.sketch import SketchMatrix
 from mlop.solver import ETA_GUARD, RunParams
@@ -62,6 +67,29 @@ def predicted_support_count(d: int, nu: int) -> int:
     if d < 1 or nu < 1:
         raise ValueError("d and nu must be at least 1")
     return int(math.floor(2.0 ** (1.5 * d) * nu))
+
+
+# ---------------------------------------------------------------------------
+# neighbourhood: quota radius one row at a time
+# ---------------------------------------------------------------------------
+
+
+def quota_radii(P, Q, nu: int, S: SketchMatrix) -> np.ndarray:
+    """Per point of Q, the nu-th smallest sketched distance to P, after
+    discarding one zero distance from a row that has any."""
+    D = kernels.pairwise_dists(S.project(Q), S.project(P))
+    out = np.empty(D.shape[0])
+    for i, row in enumerate(D):
+        r = row
+        if r.min() == 0.0:
+            z = np.flatnonzero(r == 0.0)[:1]
+            r = np.delete(r, z)
+        if nu > r.size:
+            raise UnreachableSupportError(
+                f"point {i} has only {r.size} candidate neighbours, needs {nu}"
+            )
+        out[i] = np.partition(r, nu - 1)[nu - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ def test_gen_unknown_kind_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--radius", "--gaussian-sigma", "--reference-density"])
+def test_gen_retired_flag_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(gen_args(tmp_path / "x", kind="cylinder2d", extra=(flag, "2")))
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_too_few_samples_config_error(tmp_path, capsys):
     assert main(gen_args(tmp_path / "x", count=1)) == 2
     assert "at least 2" in capsys.readouterr().err
@@ -131,6 +140,21 @@ def test_malformed_bundle_spec_io_error(tmp_path, capsys, command):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert "spec.json" in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_bundle_spec_with_retired_key_config_error(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    main(gen_args(data))
+    spec = json.loads((data / "spec.json").read_text())
+    (data / "spec.json").write_text(json.dumps({**spec, "radius": 1.5}))
+    if command == "run":
+        argv = ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out"))]
+    else:
+        argv = ["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert "'radius'" in capsys.readouterr().err
 
 
 def test_metrics_missing_cloud_io_error(tmp_path):
@@ -236,6 +260,11 @@ INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim":
     (["run", {"solver": {"q_size": 10, "descent_fieldx": "median"}}], "'descent_fieldx'"),
     (["run", {"solver": {"q_size": 10, "descent_field": "median"}}], "'descent_field'"),
     (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "bogus": 1}}], "'bogus'"),
+    (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "radius": 1.5}}], "'radius'"),
+    (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "gaussian_sigma": 0.05}}],
+     "'gaussian_sigma'"),
+    (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "reference_density": 3.0}}],
+     "'reference_density'"),
     (["run", {"solver": {"q_size": 10, "step_clamp": 5}}], "'step_clamp'"),
     (["run", {"solver": {"q_size": 10}, "ouptut": "x"}], "'ouptut'"),
     (["run", {"solver": {"q_size": 10}, "out_dir": 5}], "'out_dir'"),
@@ -244,9 +273,15 @@ INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim":
     (["reproduce", "o2", "--override", "max_iters=1", "--override", "seed=3"], "--seed"),
     (["reproduce", "o2", "--override", "max_iters=1", "--override", "threads=2"],
      "--threads"),
-], ids=["misspelt-key", "removed-key", "dataset-key", "step-clamp-scalar", "run-key",
-        "out-dir-type", "malformed-json", "override-type", "override-seed",
-        "override-threads"])
+    (["reproduce", "cylinder2d", "--override", "radius=2"], "'radius'"),
+    (["reproduce", "noise-sweep", "--override", "sigmas=[0.1]"], "'sigmas'"),
+    (["reproduce", "noise-sweep", "--override", "noise=0.3"], "'noise'"),
+    (["reproduce", "pca-benchmark", "--override", "sigmas=[0.1]"], "'sigmas'"),
+], ids=["misspelt-key", "removed-key", "dataset-key", "dataset-radius",
+        "dataset-gaussian-sigma", "dataset-reference-density", "step-clamp-scalar",
+        "run-key", "out-dir-type", "malformed-json", "override-type", "override-seed",
+        "override-threads", "override-radius", "noise-sweep-sigmas", "noise-sweep-noise",
+        "pca-sigmas"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, argv, named):
     if argv[0] == "run":
         text = argv[1]

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from mlop.datasets import (DatasetSpec, _axis_counts, _cone_embed,
+from mlop.datasets import (KINDS, DatasetSpec, _axis_counts, _cone_embed,
                            _cylinder2d_embed, add_image_noise,
                            add_uniform_noise, gen_ellipse_images, gen_grid_line,
                            gen_o2, make_dataset, sphere5_coords)
@@ -215,6 +216,27 @@ def test_spec_validation():
 def test_spec_json_roundtrip(tmp_path):
     spec = DatasetSpec(kind="cone_segment", sample_count=50, noise=0.2, seed=3)
     assert DatasetSpec.from_dict(spec.to_dict()) == spec
+    assert list(spec.to_dict()) == ["kind", "sample_count", "noise", "ambient_dim", "seed"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_dataset_setting_changes_the_data(kind):
+    """A spec records only what shapes the data: changing any setting but
+    the kind either changes the samples or the reference, or is rejected."""
+    base = DatasetSpec(kind=kind, sample_count=20, noise=0.1, seed=1)
+    ds = make_dataset(base)
+    for key, value in base.to_dict().items():
+        if key == "kind":
+            continue
+        changed = value + 1 if isinstance(value, int) else value + 0.25
+        try:
+            spec = dataclasses.replace(base, **{key: changed})
+        except ConfigError:
+            continue
+        other = make_dataset(spec)
+        same = (np.array_equal(ds.points.points, other.points.points)
+                and np.array_equal(ds.reference.points, other.reference.points))
+        assert not same, f"{kind}: {key}={changed!r} leaves the data unchanged"
 
 
 def test_density_condition_ball_counts():

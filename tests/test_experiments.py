@@ -24,7 +24,7 @@ def counted(monkeypatch, counts, key, modules, name):
 
 @pytest.mark.parametrize("spec", [
     DatasetSpec(kind="cylinder2d", sample_count=64, noise=0.1, seed=3),
-    DatasetSpec(kind="ellipse_images", sample_count=36, gaussian_sigma=0.05, seed=3),
+    DatasetSpec(kind="ellipse_images", sample_count=36, noise=0.05, seed=3),
 ], ids=["cylinder2d", "ellipse_images"])
 def test_run_experiment_scores_each_quantity_once(tmp_path, monkeypatch, spec):
     ds = make_dataset(spec)

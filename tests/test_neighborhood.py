@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mlop.errors import ConfigError, UnreachableSupportError
-from mlop.neighborhood import (C_GROWTH, C_MAX, SupportParams, estimate_supports,
-                               fill_distance, guarantee_radius)
+from mlop.neighborhood import (C_GROWTH, C_MAX, SupportParams, _quota_radii,
+                               estimate_supports, fill_distance, guarantee_radius)
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix
-from oracles import predicted_support_count
+from oracles import predicted_support_count, quota_radii
 
 S1 = SketchMatrix.identity(1)
 S2 = SketchMatrix.identity(2)
@@ -122,6 +123,51 @@ def test_monotone_in_nu():
     h0 = fill_distance(P, S2)
     values = [guarantee_radius(P, Q, h0, nu, S2)[0] for nu in range(1, 8)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_quota_radii_duplicate_zeros_and_full_quota():
+    """A centre on two coincident data points discards one zero and keeps
+    the other; nu == J reads a row's largest distance, and a row that lost
+    a zero then has too few candidates."""
+    P = col(0, 0, 1, 3, 3, 7)
+    Q = col(0, 3, 5)
+    assert np.array_equal(_quota_radii(P, Q, 1, S1), [0.0, 0.0, 2.0])
+    for nu in range(1, 6):
+        assert np.array_equal(_quota_radii(P, Q, nu, S1), quota_radii(P, Q, nu, S1))
+    off = col(-1, 9)
+    assert np.array_equal(_quota_radii(P, off, 6, S1), [8.0, 9.0])
+    assert np.array_equal(_quota_radii(P, off, 6, S1), quota_radii(P, off, 6, S1))
+    with pytest.raises(UnreachableSupportError,
+                       match="point 0 has only 5 candidate neighbours, needs 6"):
+        quota_radii(P, Q, 6, S1)
+    with pytest.raises(UnreachableSupportError,
+                       match="point 0 has only 5 candidate neighbours, needs 6"):
+        _quota_radii(P, Q, 6, S1)
+
+
+def test_quota_radii_match_the_per_row_loop():
+    """Random small instances on an integer lattice, so data rows repeat and
+    distances tie, with centres on and off the data, at every quota."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        J = int(rng.integers(2, 12))
+        P = rng.integers(0, 4, size=(J, 2)).astype(float)
+        Q = np.vstack([P[rng.integers(0, J, size=3)], rng.normal(size=(2, 2))])
+        for nu in range(1, J + 2):
+            try:
+                want = quota_radii(P, Q, nu, S2)
+            except UnreachableSupportError as exc:
+                with pytest.raises(UnreachableSupportError, match=re.escape(str(exc))):
+                    _quota_radii(P, Q, nu, S2)
+            else:
+                assert np.array_equal(_quota_radii(P, Q, nu, S2), want)
+    # long rows: there a partition at nu - 1 alone can leave the next
+    # column out of order, which a centre on the data reads
+    rng = np.random.default_rng(3)
+    P = rng.normal(size=(1000, 1))
+    Q = P[rng.integers(0, 1000, size=50)]
+    for nu in (1, 2, 7, 100, 333, 500, 998, 999):
+        assert np.array_equal(_quota_radii(P, Q, nu, S1), quota_radii(P, Q, nu, S1))
 
 
 def test_unreachable_support():
