@@ -1,7 +1,8 @@
 """Command line interface: gen, run, reproduce, metrics.
 
 Every command is batch and deterministic given its arguments; exit codes are
-0 success, 2 configuration error, 3 numerical abort, 4 I/O error.
+0 success, 2 configuration error (including a reconstruction size whose
+support quota no radius reaches), 3 numerical abort, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -10,20 +11,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cloud import load_cloud
 from .datasets import (DatasetSpec, KINDS, load_dataset_dir, make_dataset,
                        write_dataset)
-from .errors import CloudFormatError, ConfigError, NumericalAbortError
+from .errors import (CloudFormatError, ConfigError, NumericalAbortError,
+                     UnreachableSupportError)
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, ExperimentReport,
-                          reproduce, run_experiment)
-from .metrics import (background_snr, erode_background, nearest_reference_errors,
-                      nearest_reference_masks, relative_error)
-from .neighborhood import fill_distance
-from .sketch import build_sketch, load_sketch
-from .solver import SolverConfig
-from .rng import Rng
+                          reproduce, run_experiment, score_cloud)
+from .metrics import sketched_diameter
+from .sketch import load_sketch, sketch_for_run
 
 DEFAULT_OUT_ROOT_ENV = "MLOP_OUT_ROOT"
 
@@ -47,9 +46,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     ds = load_dataset_dir(cfg.dataset_dir) if cfg.dataset_dir else make_dataset(cfg.dataset)
-    if args.threads is not None:
-        cfg.solver.threads = args.threads
-    report, result = run_experiment(ds, cfg.solver, out_dir=cfg.out_dir)
+    solver = cfg.solver if args.threads is None else replace(cfg.solver, threads=args.threads)
+    report, result = run_experiment(ds, solver, out_dir=cfg.out_dir)
     status = "converged" if report.converged else "max-iters"
     print(f"run finished ({status}) after {report.iterations_run} iterations; "
           f"report at {Path(cfg.out_dir) / 'report.json'}")
@@ -77,23 +75,19 @@ def cmd_reproduce(args) -> int:
 def cmd_metrics(args) -> int:
     ds = load_dataset_dir(args.dataset_dir)
     q = load_cloud(args.q)
-    if args.sketch:
-        S = load_sketch(args.sketch)
-    else:
-        S = build_sketch(ds.points, args.sketch_dim, Rng(args.seed).stream("sketch"))
-    err = nearest_reference_errors(q, ds.reference, S)
+    S = (load_sketch(args.sketch) if args.sketch
+         else sketch_for_run(ds.points, args.sketch_dim, args.seed))
+    err, rel, max_rel, fill, snr = score_cloud(q, ds, S, sketched_diameter(ds.reference, S))
     report = ExperimentReport(
         kind=ds.spec.kind,
-        relative_error=relative_error(q, ds.reference, S, errors=err),
+        relative_error=rel,
         rmse=err.rmse,
+        max_rel_error=max_rel,
         variance=err.variance,
-        fill_distance_final=fill_distance(q, S) if q.size >= 2 else None,
+        fill_distance_final=fill,
+        snr_final=snr,
         config={"dataset": ds.spec.to_dict()},
     )
-    if ds.masks is not None:
-        masks = erode_background(nearest_reference_masks(q, ds.reference,
-                                                         ds.reference_masks, S))
-        report.snr_final = background_snr(q, masks).median
     report.save(args.out)
     print(f"wrote {args.out}")
     return 0
@@ -155,7 +149,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnreachableSupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbortError as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, load_cloud, save_cloud, write_matrix
-from .errors import CloudFormatError, ConfigError, check_fields
+from .errors import CloudFormatError, ConfigError, check_fields, check_seed
 from .rng import Rng
 
 KINDS = ("o2", "cone_segment", "cylinder2d", "cylinder6d", "ellipse_images", "grid_line")
@@ -73,8 +73,9 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; choose from {KINDS}")
         if self.sample_count < 2:
             raise ConfigError("sample_count must be at least 2")
-        if self.noise < 0:
-            raise ConfigError("noise must be non-negative")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
+        check_seed(self.seed)
         if self.ambient_dim is None:
             self.ambient_dim = _DEFAULT_AMBIENT[self.kind]
         min_dim = 7 if self.kind == "cylinder6d" else 4

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the config-input check
-that maps a malformed settings mapping to ConfigError."""
+"""Exception types shared across the package, and the config-input checks
+that map a malformed settings mapping or seed to ConfigError."""
 
 import dataclasses
 import numbers
@@ -45,6 +45,12 @@ class NumericalAbortError(MlopError):
     def __init__(self, iteration: int, detail: str):
         self.iteration = iteration
         super().__init__(f"numerical abort at iteration {iteration}: {detail}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError unless seed fits the 64 unsigned bits a root Rng takes."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _fits(hint, value) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,34 +110,55 @@ class ExperimentReport:
             fh.write("\n")
 
 
+def score_cloud(cloud: PointCloud, ds: Dataset, S: SketchMatrix, diameter: float,
+                masks=None, threads: int = 1) -> tuple:
+    """Score one cloud against ``ds.reference`` with one nearest-reference scan.
+
+    ``diameter`` is ``sketched_diameter(ds.reference, S)``.  Returns
+    (nearest errors, relative_error, max_rel_error, fill distance, SNR); the
+    fill distance is None below 2 points, and the SNR is None without image
+    masks.  The SNR reads the eroded background ``masks``, by default those
+    of the nearest reference images.
+    """
+    err = nearest_reference_errors(cloud, ds.reference, S, threads=threads)
+    snr = None
+    if ds.masks is not None:
+        if masks is None:
+            masks = nearest_reference_masks(cloud, ds.reference, ds.reference_masks, S,
+                                            threads=threads)
+        snr = background_snr(cloud, erode_background(masks)).median
+    rel = relative_error(cloud, ds.reference, S, errors=err, diameter=diameter)
+    fill = fill_distance(cloud, S) if cloud.size >= 2 else None
+    return err, rel, float(err.max / diameter), fill, snr
+
+
 def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
               runtime_ms: float) -> tuple[ExperimentReport, NearestErrors]:
     """Compute the metric bundle for a finished run.
 
-    Makes one nearest-reference scan per evaluated cloud (q0 and Q_final)
-    and one reference diameter; returns the report and the Q_final errors,
-    whose per-point distances ``run_experiment`` writes to errors.csv.
+    Scores q0 and Q_final with ``score_cloud`` against one reference
+    diameter; returns the report and the Q_final errors, whose per-point
+    distances ``run_experiment`` writes to errors.csv.
     """
     S = result.sketch
-    threads = config.threads
     q0 = ds.points.subset(result.q0_indices)
     diameter = sketched_diameter(ds.reference, S)
-    err0 = nearest_reference_errors(q0, ds.reference, S, threads=threads)
-    err1 = nearest_reference_errors(result.q_final, ds.reference, S, threads=threads)
-    rel0 = relative_error(q0, ds.reference, S, threads=threads, errors=err0,
-                          diameter=diameter)
-    rel1 = relative_error(result.q_final, ds.reference, S, threads=threads, errors=err1,
-                          diameter=diameter)
+    q0_masks = ds.masks[result.q0_indices] if ds.masks is not None else None
+    err0, rel0, _, fill0, snr0 = score_cloud(q0, ds, S, diameter, q0_masks, config.threads)
+    err1, rel1, max_rel1, fill1, snr1 = score_cloud(result.q_final, ds, S, diameter,
+                                                    threads=config.threads)
     report = ExperimentReport(
         kind=ds.spec.kind,
         relative_error=rel1,
         relative_error_initial=rel0,
         rmse=err1.rmse,
         rmse_initial=err0.rmse,
-        max_rel_error=float(err1.max / diameter),
+        max_rel_error=max_rel1,
         variance=err1.variance,
-        fill_distance_initial=fill_distance(q0, S) if q0.size >= 2 else None,
-        fill_distance_final=fill_distance(result.q_final, S) if result.q_final.size >= 2 else None,
+        fill_distance_initial=fill0,
+        fill_distance_final=fill1,
+        snr_initial=snr0,
+        snr_final=snr1,
         runtime_ms=runtime_ms,
         iterations_run=result.iterations_run,
         converged=result.converged,
@@ -145,12 +166,6 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
         supports=result.supports.to_dict(),
         config={"dataset": ds.spec.to_dict(), "solver": config.to_dict()},
     )
-    if ds.masks is not None:
-        init_masks = erode_background(ds.masks[result.q0_indices])
-        report.snr_initial = background_snr(q0, init_masks).median
-        final_masks = erode_background(nearest_reference_masks(
-            result.q_final, ds.reference, ds.reference_masks, S, threads=threads))
-        report.snr_final = background_snr(result.q_final, final_masks).median
     return report, err1
 
 
@@ -255,7 +270,7 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
 
     spec, cfg = _base_recipe(name, seed)
     spec, cfg = _apply_overrides(spec, cfg, overrides)
-    cfg.threads = threads
+    cfg = replace(cfg, threads=threads)
     ds = make_dataset(spec)
     report, _ = run_experiment(ds, cfg, out_dir=out)
     rows = [[spec.kind, float(spec.noise), report.relative_error, report.rmse_initial,
@@ -280,7 +295,7 @@ def _reproduce_noise_sweep(out: Path, seed: int, threads: int, overrides: dict) 
     for sigma in NOISE_SWEEP_SIGMAS:
         spec, cfg = _base_recipe("cylinder2d", seed)
         spec, cfg = _apply_overrides(spec, cfg, dict(overrides, noise=float(sigma)))
-        cfg.threads = threads
+        cfg = replace(cfg, threads=threads)
         ds = make_dataset(spec)
         report, _ = run_experiment(ds, cfg, out_dir=out / f"sigma_{sigma:g}")
         rows.append([float(sigma), report.relative_error])
@@ -309,6 +324,10 @@ def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
     """
     if bootstraps < 1:
         raise ConfigError(f"bootstraps must be at least 1, got {bootstraps}")
+    if not 2 <= subset_size <= sample_count:
+        # the local-PCA radius scales with the subset's fill distance
+        raise ConfigError(f"subset_size must be in [2, sample_count={sample_count}], "
+                          f"got {subset_size}")
     summary: dict = {}
     for sigma in PCA_SIGMAS:
         spec = DatasetSpec(kind="cylinder2d", sample_count=sample_count,
@@ -339,7 +358,9 @@ def _reproduce_pca_benchmark(out: Path, seed: int, threads: int, overrides: dict
     kwargs = {}
     for key in ("subset_size", "sample_count", "max_iters"):
         if key in overrides:
-            kwargs[key] = overrides.pop(key)
+            value = kwargs[key] = overrides.pop(key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"override {key!r} must be an integer, got {value!r}")
     if overrides:
         raise ConfigError(f"unknown overrides for pca-benchmark: {sorted(overrides)}")
     summary = pca_benchmark(seed=seed, threads=threads, bootstraps=bootstraps, **kwargs)

@@ -82,9 +82,10 @@ def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out):
     out[i0:i1] = alpha.sum(axis=1)[:, None] * Q[i0:i1] - alpha @ P
 
 
-def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out):
+def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn):
     d2 = _self_sq_dists(Qs, i0, i1)
     _guard_coincident(d2, i0, delta_min)
+    nn[i0:i1] = np.sqrt(d2.min(axis=1))
     with np.errstate(over="ignore"):
         d = np.sqrt(d2)
         beta = np.exp(-d2 / h2sq) / d * (1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq))
@@ -202,16 +203,18 @@ def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, thread
 
 
 def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1):
-    """Per reconstruction point, the spreading-term force sum(beta_i (q - q_i)).
+    """Per reconstruction point, the spreading-term force sum(beta_i (q - q_i))
+    and, from the same distance block, the nearest-partner distance, equal to
+    ``self_nn_dists(Qs)`` bit for bit: returns (forces, nn_dists).
 
     Raises CoincidentPointsError for the first pair (in row order) closer
     than ``delta_min`` in sketched distance.
     """
-    out = np.empty_like(Q)
+    out, nn = np.empty_like(Q), np.empty(Q.shape[0])
     h2sq, cutsq = h2 * h2, cutoff * cutoff
-    _run_chunks(lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out),
+    _run_chunks(lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn),
                 Q.shape[0], threads)
-    return out
+    return out, nn
 
 
 def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1) -> float:

@@ -99,7 +99,7 @@ def nearest_reference_masks(images, reference, reference_masks,
 
 @dataclass(frozen=True)
 class SnrResult:
-    median: float
+    median: float | None
     per_image: np.ndarray
     excluded: int
 
@@ -108,7 +108,8 @@ def background_snr(images, masks) -> SnrResult:
     """Median over images of mean/std on each image's background pixels.
 
     Images with constant background (zero sample standard deviation) cannot
-    produce a finite ratio; they are excluded from the median with a warning.
+    produce a finite ratio; they are excluded from the median with a warning,
+    and the median is None when every image is excluded (a noise-free set).
     """
     imgs = as_points(images)
     masks = np.asarray(masks, dtype=bool)
@@ -130,9 +131,8 @@ def background_snr(images, masks) -> SnrResult:
         logger.warning("%d images had constant background; excluded from SNR median",
                        excluded)
     finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        raise ValueError("no image produced a finite SNR")
-    return SnrResult(median=float(np.median(finite)), per_image=values, excluded=excluded)
+    median = float(np.median(finite)) if finite.size else None
+    return SnrResult(median=median, per_image=values, excluded=excluded)
 
 
 def erode_background(masks: np.ndarray) -> np.ndarray:

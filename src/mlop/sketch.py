@@ -9,13 +9,16 @@ way contract ambient noise while preserving the data geometry.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import as_points, load_cloud, write_matrix
-from .errors import CloudFormatError, ConfigError, DegenerateSketchError
+from .errors import CloudFormatError, ConfigError, DegenerateSketchError, check_seed
 from .rng import Rng
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,6 @@ class SketchMatrix:
     @property
     def n(self) -> int:
         return self.s.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.s.shape[1]
 
     @classmethod
     def identity(cls, n: int) -> "SketchMatrix":
@@ -79,6 +78,21 @@ def build_sketch(P, m: int, rng: Rng) -> SketchMatrix:
     if achieved < m:
         raise DegenerateSketchError(requested=m, achieved=achieved)
     return SketchMatrix(q)
+
+
+def sketch_for_run(P, m: int, seed: int) -> SketchMatrix:
+    """The sketch of a run with this seed: built from its "sketch" stream
+    and, while the data span fewer than m directions, rebuilt from the same
+    stream at the rank achieved, with a logged warning.  A seed outside 64
+    unsigned bits, or m outside [1, n], raises ConfigError."""
+    check_seed(seed)
+    while True:
+        try:
+            return build_sketch(P, m, Rng(seed).stream("sketch"))
+        except DegenerateSketchError as exc:
+            logger.warning("sketch rank %d < requested %d; rebuilding at rank %d",
+                           exc.achieved, m, exc.achieved)
+            m = exc.achieved
 
 
 def save_sketch(S: SketchMatrix, path) -> None:

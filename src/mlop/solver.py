@@ -31,11 +31,11 @@ import numpy as np
 
 from . import kernels
 from .cloud import PointCloud
-from .errors import (CoincidentPointsError, ConfigError, DegenerateSketchError,
-                     NumericalAbortError, check_fields)
+from .errors import (CoincidentPointsError, ConfigError, NumericalAbortError, check_fields,
+                     check_seed)
 from .neighborhood import SupportParams, estimate_supports
 from .rng import Rng
-from .sketch import SketchMatrix, build_sketch
+from .sketch import SketchMatrix, sketch_for_run
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ EPS_H = 0.1
 CUTOFF_MULT = 2.0 * math.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """All tunables of a reconstruction run.
 
@@ -80,6 +80,7 @@ class SolverConfig:
             raise ConfigError("max_iters must be non-negative")
         if self.sketch_dim < 1:
             raise ConfigError("sketch_dim must be positive")
+        check_seed(self.seed)
         if self.init not in ("random", "around_point"):
             raise ConfigError(f"unknown init mode {self.init!r}")
         if self.threads < 1:
@@ -209,8 +210,8 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
     Args:
         P: input cloud (J points in R^n).
         config: run tunables; config.q_size = I must satisfy I <= J.
-        sketch: optional pre-built projection basis (built from P otherwise;
-            it is constructed once and reused for every norm in the run).
+        sketch: optional pre-built projection basis (``sketch_for_run`` builds
+            it from P otherwise); it is reused for every norm in the run.
 
     Returns:
         SolverResult with the final cloud, per-iteration trace, estimated
@@ -227,17 +228,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
     if I > J:
         raise ConfigError(f"q_size {I} exceeds input size {J}")
     root = Rng(config.seed)
-    if sketch is not None:
-        S = sketch
-    else:
-        try:
-            S = build_sketch(P, config.sketch_dim, root.stream("sketch"))
-        except DegenerateSketchError as exc:
-            # Noise-free structures can span fewer directions than the
-            # requested sketch size; retry at the achieved rank.
-            logger.warning("sketch rank %d < requested %d; rebuilding at rank %d",
-                           exc.achieved, exc.requested, exc.achieved)
-            S = build_sketch(P, exc.achieved, Rng(config.seed).stream("sketch"))
+    S = sketch if sketch is not None else sketch_for_run(P, config.sketch_dim, config.seed)
     if S.n != n:
         raise ConfigError(f"sketch expects ambient dimension {S.n}, data has {n}")
 
@@ -260,7 +251,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         try:
             attr = kernels.attraction_forces(Q, P.points, Qs, Ps, rp.h1, rp.eps, rp.cutoff1,
                                              threads)
-            rep = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
+            rep, nn = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
         except CoincidentPointsError as exc:
             raise NumericalAbortError(k, str(exc)) from exc
         if lam is None:
@@ -272,10 +263,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         full_norms = np.sqrt(np.einsum("ij,ij->i", grad, grad))
         gmax = float(np.linalg.norm(grad @ S.s, axis=1).max())
         cost_val = cost(Qs, Ps, rp, lam, threads=threads)
-        if I >= 2:
-            fill_q = float(np.median(kernels.self_nn_dists(Qs)))
-        else:
-            fill_q = math.nan
+        fill_q = float(np.median(nn)) if I >= 2 else math.nan
         if gmax < grad_tol:
             converged = True
             wall = (time.perf_counter() - t0) * 1e3

@@ -233,7 +233,7 @@ def descended_field(Q, P, lam, rp: RunParams, S: SketchMatrix, threads: int = 1)
     solver.run assembles it."""
     Qs, Ps = S.project(Q), S.project(P)
     attr = kernels.attraction_forces(Q, P, Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
-    rep = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
+    rep, _ = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
     return attr + np.asarray(lam)[:, None] * rep
 
 

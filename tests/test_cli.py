@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlop.cli import main
 from mlop.cloud import load_cloud
+from mlop.datasets import KINDS
 
 
 def read_bytes(path):
@@ -64,6 +67,24 @@ def test_gen_too_few_samples_config_error(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+# the quantities a report holds about the final cloud
+FINAL_FIELDS = ("relative_error", "rmse", "max_rel_error", "variance", "fill_distance_final",
+                "snr_final")
+
+
+def rescore_matches_report(tmp_path, data, out) -> dict:
+    """Re-score a run's Q_final with its sketch.csv; every final-cloud field
+    of the run's report is reproduced exactly.  Returns the re-scored report."""
+    rescored = tmp_path / "rescore.json"
+    assert main(["metrics", "--dataset-dir", str(data), "--q", str(out / "Q_final.csv"),
+                 "--sketch", str(out / "sketch.csv"), "--out", str(rescored)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    r3 = json.loads(rescored.read_text())
+    for key in FINAL_FIELDS:
+        assert r3[key] == report[key], key
+    return r3
+
+
 def test_run_and_rescore(tmp_path):
     data = tmp_path / "data"
     main(gen_args(data))
@@ -86,11 +107,31 @@ def test_run_and_rescore(tmp_path):
         assert report[key] == r2[key], key
 
     # re-score the saved reconstruction with the saved sketch
-    rescored = tmp_path / "rescore.json"
-    assert main(["metrics", "--dataset-dir", str(data), "--q", str(out / "Q_final.csv"),
-                 "--sketch", str(out / "sketch.csv"), "--out", str(rescored)]) == 0
-    r3 = json.loads(rescored.read_text())
-    assert r3["relative_error"] == pytest.approx(report["relative_error"], rel=1e-12)
+    assert rescore_matches_report(tmp_path, data, out)["max_rel_error"] is not None
+
+
+def test_run_and_rescore_images(tmp_path):
+    data = tmp_path / "data"
+    assert main(gen_args(data, kind="ellipse_images", count=30)) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
+    assert rescore_matches_report(tmp_path, data, out)["snr_final"] is not None
+
+
+def test_metrics_fresh_sketch_is_the_runs_sketch(tmp_path, caplog):
+    # noise-free grid_line in R^8 spans fewer than 4 directions; metrics
+    # without --sketch falls back to the achieved rank as run does
+    data = tmp_path / "data"
+    assert main(gen_args(data, noise=0.0, extra=("--ambient-dim", "8"))) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_config(tmp_path, data, out, sketch_dim=4))]) == 0
+    with caplog.at_level("WARNING"):
+        code = main(["metrics", "--dataset-dir", str(data), "--q", str(out / "Q_final.csv"),
+                     "--sketch-dim", "4", "--seed", "1", "--out", str(tmp_path / "fresh.json")])
+    assert code == 0
+    assert "rebuilding at rank" in caplog.text
+    rescored = rescore_matches_report(tmp_path, data, out)
+    assert json.loads((tmp_path / "fresh.json").read_text()) == rescored
 
 
 def test_run_zero_iterations_echoes_subsample(tmp_path):
@@ -301,3 +342,113 @@ def test_reproduce_pca_benchmark_rejects_zero_bootstraps(tmp_path, capsys):
     assert code == 2
     assert "bootstraps" in capsys.readouterr().err
     assert not (tmp_path / "pca_benchmark" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "o2", "pca-benchmark"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command):
+    if command == "run":
+        data = tmp_path / "data"
+        main(gen_args(data))
+        argv = ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out")),
+                "--threads", "0"]
+    else:
+        argv = ["reproduce", command, "--out", str(tmp_path), "--threads", "0",
+                "--bootstraps", "1", "--override", "max_iters=1"]
+    assert main(argv) == 2
+    assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["gen", "run", "reproduce", "metrics"])
+def test_seed_out_of_range_exits_2(tmp_path, capsys, command, seed):
+    data = tmp_path / "data"
+    if command == "gen":
+        argv = gen_args(data, seed=seed)
+    else:
+        main(gen_args(data))
+        argv = {
+            "run": ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out",
+                                                      seed=seed))],
+            "reproduce": ["reproduce", "o2", "--out", str(tmp_path), "--seed", str(seed)],
+            "metrics": ["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                        "--sketch-dim", "3", "--seed", str(seed),
+                        "--out", str(tmp_path / "r.json")],
+        }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_non_finite_noise_exits_2(tmp_path, capsys, noise):
+    assert main(gen_args(tmp_path / "d", noise=noise)) == 2
+    assert "noise must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_unreachable_support_exits_2(tmp_path, capsys):
+    # one reconstruction point needs all five samples but the one it sits on
+    data = tmp_path / "data"
+    assert main(["gen", "--kind", "o2", "--count", "5", "--out", str(data)]) == 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"dataset_dir": str(data), "out_dir": str(tmp_path / "out"),
+                                "solver": {"q_size": 1}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "candidate neighbours" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1", "817", "\"abc\""])
+def test_pca_benchmark_subset_size_out_of_range_exits_2(tmp_path, capsys, value):
+    code = main(["reproduce", "pca-benchmark", "--out", str(tmp_path), "--bootstraps", "1",
+                 "--override", f"subset_size={value}"])
+    assert code == 2
+    assert "subset_size" in capsys.readouterr().err
+
+
+# valid values outnumber the invalid ones, so most draws get past gen
+SEEDS = st.sampled_from([0, 1, 3, 7, 2**64 - 1, -1, 2**64])
+NOISES = st.sampled_from([0.0, 0.0, 0.05, 0.05, 5.0, -0.1, math.nan, math.inf])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_edges_exit_with_a_documented_code(tmp_path_factory, data):
+    """gen, run and metrics on drawn edge inputs return 0, 2, 3 or 4 and
+    never raise.  Derandomized, so Tier-1 replays the same draws."""
+    tmp = tmp_path_factory.mktemp("edge")
+    bundle, out = tmp / "data", tmp / "out"
+    kind = data.draw(st.sampled_from(KINDS), "kind")
+    count = data.draw(st.sampled_from([1, 2, 3, 5, 8, 17, 40]), "count")
+    noise = data.draw(NOISES, "noise")
+    dim = data.draw(st.sampled_from([None, None, None, 3, 4, 8]), "ambient_dim")
+    extra = ("--ambient-dim", str(dim)) if dim is not None else ()
+    code = main(gen_args(bundle, kind=kind, count=count, noise=noise,
+                         seed=data.draw(SEEDS, "gen seed"), extra=extra))
+    assert code in (0, 2)
+    if code:
+        return
+    J, n = load_cloud(bundle / "P.csv").points.shape
+    solver = {
+        "q_size": data.draw(st.integers(1, J), "q_size"),
+        "max_iters": data.draw(st.integers(0, 2), "max_iters"),
+        "sketch_dim": data.draw(st.sampled_from([1, 3, n, 0, n + 1]), "sketch_dim"),
+        "init": data.draw(st.sampled_from(["random", "around_point"]), "init"),
+        "init_index": data.draw(st.sampled_from([0, J // 2, J - 1, -1, J]), "init_index"),
+        "threads": data.draw(st.sampled_from([1, 2, 1, 2, 0, -1]), "threads"),
+        "seed": data.draw(SEEDS, "run seed"),
+    }
+    path = tmp / "run.json"
+    path.write_text(json.dumps({"dataset_dir": str(bundle), "out_dir": str(out),
+                                "solver": solver}))
+    ran = main(["run", "--config", str(path)])
+    assert ran in (0, 2, 3, 4)
+    q = out / "Q_final.csv" if ran == 0 else bundle / "P.csv"
+    argv = ["metrics", "--dataset-dir", str(bundle), "--q", str(q),
+            "--out", str(tmp / "scores.json")]
+    if ran == 0:
+        assert main([*argv, "--sketch", str(out / "sketch.csv")]) in (0, 2, 3, 4)
+    fresh = ["--sketch-dim", str(data.draw(st.sampled_from([1, 3, n, 0, n + 1]),
+                                           "metrics sketch_dim")),
+             "--seed", str(data.draw(SEEDS, "metrics seed"))]
+    assert main([*argv, *fresh]) in (0, 2, 3, 4)

@@ -209,8 +209,12 @@ def test_spec_validation():
         DatasetSpec(kind="cylinder2d", sample_count=1)
     with pytest.raises(ConfigError):
         DatasetSpec(kind="ellipse_images", sample_count=1000)
-    with pytest.raises(ConfigError):
-        DatasetSpec(kind="cylinder2d", sample_count=10, noise=-0.1)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="noise"):
+            DatasetSpec(kind="cylinder2d", sample_count=10, noise=noise)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            DatasetSpec(kind="cylinder2d", sample_count=10, seed=seed)
 
 
 def test_spec_json_roundtrip(tmp_path):

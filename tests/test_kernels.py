@@ -21,8 +21,18 @@ def test_thread_count_bitwise_invariance():
     assert np.array_equal(outs[0], outs[2])
     reps = [kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads=t)
             for t in (1, 2, 4)]
-    assert np.array_equal(reps[0], reps[1])
-    assert np.array_equal(reps[0], reps[2])
+    for forces, nn in reps[1:]:
+        assert np.array_equal(reps[0][0], forces)
+        assert np.array_equal(reps[0][1], nn)
+
+
+@pytest.mark.parametrize("I", [130, 2])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_repulsion_nn_dists_are_the_self_nn_scan(I, threads):
+    # I = 130 spans three chunks; the distances come from the force blocks
+    Q, _, Qs, _ = instance(7, I=I)
+    _, nn = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads=threads)
+    assert np.array_equal(nn, kernels.self_nn_dists(Qs))
 
 
 def test_cutoff_short_circuits():

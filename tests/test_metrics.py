@@ -105,6 +105,15 @@ def test_background_snr_excludes_constant(caplog):
     assert out.median == pytest.approx(1.5 / np.std([1.0, 2.0], ddof=1))
 
 
+def test_background_snr_of_constant_backgrounds_is_none(caplog):
+    images = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    masks = np.array([[True, True, False]] * 2)
+    with caplog.at_level("WARNING"):
+        out = background_snr(images, masks)
+    assert out.median is None and out.excluded == 2
+    assert "2 images had constant background" in caplog.text
+
+
 def test_background_snr_needs_two_pixels():
     with pytest.raises(ValueError, match="background pixels"):
         background_snr(np.ones((1, 4)), np.array([[True, False, False, False]]))

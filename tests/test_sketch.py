@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlop.cloud import PointCloud
-from mlop.errors import DegenerateSketchError
+from mlop.errors import ConfigError, DegenerateSketchError
 from mlop.rng import Rng
-from mlop.sketch import SketchMatrix, build_sketch, load_sketch, save_sketch
+from mlop.sketch import SketchMatrix, build_sketch, load_sketch, save_sketch, sketch_for_run
 from oracles import sketched_dist, sketched_norm
 
 
@@ -42,6 +42,25 @@ def test_rank_deficient_data_fails_loudly():
         for j in (3, 11, 40):
             full = np.linalg.norm(pts[i] - pts[j])
             assert abs(sketched_dist(S, pts[i], pts[j]) - full) < 1e-8 * (1 + full)
+
+
+def test_sketch_for_run_falls_back_to_the_achieved_rank(caplog):
+    rng = np.random.default_rng(3)
+    P = PointCloud(rng.normal(size=(50, 2)) @ rng.normal(size=(2, 60)))
+    # the first build finds rank 3 and the rebuild at 3 finds rank 2
+    with caplog.at_level("WARNING"):
+        S = sketch_for_run(P, 10, 3)
+    assert "rebuilding at rank 2" in caplog.text
+    assert np.array_equal(S.s, build_sketch(P, 2, Rng(3).stream("sketch")).s)
+    full = random_cloud(4)
+    assert np.array_equal(sketch_for_run(full, 10, 4).s,
+                          build_sketch(full, 10, Rng(4).stream("sketch")).s)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sketch_for_run_rejects_a_seed_out_of_range(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        sketch_for_run(random_cloud(5), 10, seed)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_balance_equality_at_init():
     rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=4.0, cutoff2=4.0, delta_min=1e-12)
     from mlop import kernels
     attr = kernels.attraction_forces(Q, P, Q @ S8.s, P @ S8.s, rp.h1, rp.eps, rp.cutoff1)
-    rep = kernels.repulsion_forces(Q, Q @ S8.s, rp.h2, rp.cutoff2, rp.delta_min)
+    rep, _ = kernels.repulsion_forces(Q, Q @ S8.s, rp.h2, rp.cutoff2, rp.delta_min)
     lam = init_lambda(attr, rep, S8)
     an = np.linalg.norm(attr @ S8.s, axis=1)
     rn = np.linalg.norm(rep @ S8.s, axis=1)
@@ -320,6 +321,30 @@ def test_around_point_init():
     assert set(res.q0_indices.tolist()) == {9, 10, 11}
 
 
+def test_iterations_make_no_self_nn_scan(monkeypatch):
+    # the trace's fill distance comes from the repulsion pass; the only
+    # self-NN scans are the support estimate's
+    from mlop import kernels
+    pts = PointCloud(np.random.default_rng(22).normal(size=(60, 8)))
+    calls = []
+    scan = kernels.self_nn_dists
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "self_nn_dists", counted)
+    counts = []
+    for iters in (0, 5):
+        calls.clear()
+        res = run(pts, SolverConfig(q_size=15, max_iters=iters, seed=4, sketch_dim=8))
+        counts.append(len(calls))
+    assert len(res.trace) == 5
+    assert counts[0] == counts[1] > 0
+    q0s = pts.points[res.q0_indices] @ res.sketch.s
+    assert res.trace[0].fill_distance_q == float(np.median(scan(q0s)))
+
+
 def test_trace_csv(tmp_path):
     line, _ = gen_grid_line(20, 8)
     res = run(line, SolverConfig(q_size=8, max_iters=4, seed=2, sketch_dim=8), sketch=S8)
@@ -338,9 +363,14 @@ def test_config_validation_and_roundtrip():
     back = SolverConfig.from_dict(cfg.to_dict())
     assert back == cfg
     for bad in ({"q_size": 0}, {"max_iters": -1}, {"sketch_dim": 0}, {"init": "midair"},
-                {"threads": 0}):
+                {"threads": 0}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ConfigError):
             SolverConfig(**{"q_size": 1, **bad})
+    # frozen: a changed setting goes through the checks again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.threads = 0
+    with pytest.raises(ConfigError, match="threads"):
+        dataclasses.replace(cfg, threads=0)
 
 
 @pytest.mark.parametrize("d, key", [
