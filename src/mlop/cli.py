@@ -74,9 +74,14 @@ def cmd_reproduce(args) -> int:
 
 def cmd_metrics(args) -> int:
     ds = load_dataset_dir(args.dataset_dir)
+    n = ds.points.ambient_dim
     q = load_cloud(args.q)
+    if q.ambient_dim != n:
+        raise ConfigError(f"--q has ambient dimension {q.ambient_dim}, the dataset has {n}")
     S = (load_sketch(args.sketch) if args.sketch
          else sketch_for_run(ds.points, args.sketch_dim, args.seed))
+    if S.n != n:
+        raise ConfigError(f"sketch expects ambient dimension {S.n}, the dataset has {n}")
     err, rel, max_rel, fill, snr = score_cloud(q, ds, S, sketched_diameter(ds.reference, S))
     report = ExperimentReport(
         kind=ds.spec.kind,

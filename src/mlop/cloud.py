@@ -8,7 +8,7 @@ that save followed by load reproduces every coordinate exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +21,9 @@ class PointCloud:
 
     Args:
         points: (size, ambient_dim) array; copied, validated, made read-only.
-        labels: optional per-point parameter coordinates, used to pair
-            reconstruction points with reference data in tests and metrics.
     """
 
     points: np.ndarray
-    labels: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64, copy=True)
@@ -39,12 +36,6 @@ class PointCloud:
             raise ValueError(f"non-finite coordinate at point {bad[0]}, column {bad[1]}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            lab = np.array(self.labels, dtype=np.float64, copy=True)
-            if lab.shape[0] != pts.shape[0]:
-                raise ValueError("labels must have one row per point")
-            lab.flags.writeable = False
-            object.__setattr__(self, "labels", lab)
 
     @property
     def size(self) -> int:
@@ -58,9 +49,7 @@ class PointCloud:
         return self.size
 
     def subset(self, indices) -> "PointCloud":
-        idx = np.asarray(indices)
-        labels = self.labels[idx] if self.labels is not None else None
-        return PointCloud(self.points[idx], labels=labels)
+        return PointCloud(self.points[np.asarray(indices)])
 
 
 def as_points(cloud) -> np.ndarray:

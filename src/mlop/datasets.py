@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,6 @@ class Dataset:
     clean: PointCloud | None = None
     masks: np.ndarray | None = None
     reference_masks: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +155,10 @@ def _axis_counts(target: int, axes: int) -> list[int]:
     return counts
 
 
-def _tensor_grid(ranges: list[tuple[float, float]], target: int,
-                 endpoint: bool = True) -> np.ndarray:
+def _tensor_grid(ranges: list[tuple[float, float]], target: int) -> np.ndarray:
     """Row-major tensor grid over the ranges, truncated to exactly target rows."""
     counts = _axis_counts(target, len(ranges))
-    axes = [np.linspace(lo, hi, c, endpoint=endpoint) for (lo, hi), c in zip(ranges, counts)]
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(ranges, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     return grid[:target]
@@ -194,20 +192,15 @@ def gen_o2(J: int, rng: Rng, n: int = 60):
     """Rotation-matrix circle: [cos t, -sin t, sin t, cos t, 0, ...] mixed by
     a random orthogonal map so the structure is spread over all coordinates.
 
-    Returns (clean cloud, reference cloud, mixing matrix).  The angle grid
-    drops the endpoint because -pi and pi embed to the same matrix.
+    Returns (clean cloud, reference cloud).  The mixing map is
+    ``random_orthogonal(n, rng)``, so the same stream rebuilds it.  The angle
+    grid drops the endpoint because -pi and pi embed to the same matrix.
     """
     A = random_orthogonal(n, rng)
     theta = np.linspace(-np.pi, np.pi, J, endpoint=False)
-    pts = _o2_embed(theta, n) @ A.T
     ref_count = int(math.ceil(J * REF_DENSITY["o2"]))
     theta_ref = np.linspace(-np.pi, np.pi, ref_count, endpoint=False)
-    ref = _o2_embed(theta_ref, n) @ A.T
-    return (
-        PointCloud(pts, labels=theta[:, None]),
-        PointCloud(ref, labels=theta_ref[:, None]),
-        A,
-    )
+    return PointCloud(_o2_embed(theta, n) @ A.T), PointCloud(_o2_embed(theta_ref, n) @ A.T)
 
 
 def _cone_embed(params: np.ndarray, n: int) -> np.ndarray:
@@ -227,10 +220,7 @@ def gen_cone_segment(J: int, n: int = 60):
     ranges = [(0.0, 2.0), (0.0, 2.5), (0.1 * np.pi, 1.5 * np.pi)]
     params = _tensor_grid(ranges, J)
     ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cone_segment"] ** 3)))
-    return (
-        PointCloud(_cone_embed(params, n), labels=params),
-        PointCloud(_cone_embed(ref_params, n), labels=ref_params),
-    )
+    return PointCloud(_cone_embed(params, n)), PointCloud(_cone_embed(ref_params, n))
 
 
 def _cylinder2d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
@@ -250,10 +240,8 @@ def gen_cylinder2d(J: int, n: int = 60):
     ranges = [(0.0, 2.0), (0.1 * np.pi, 1.5 * np.pi)]
     params = _tensor_grid(ranges, J)
     ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cylinder2d"] ** 2)))
-    return (
-        PointCloud(_cylinder2d_embed(params, n, CYLINDER2D_RADIUS), labels=params),
-        PointCloud(_cylinder2d_embed(ref_params, n, CYLINDER2D_RADIUS), labels=ref_params),
-    )
+    return (PointCloud(_cylinder2d_embed(params, n, CYLINDER2D_RADIUS)),
+            PointCloud(_cylinder2d_embed(ref_params, n, CYLINDER2D_RADIUS)))
 
 
 def sphere5_coords(u: np.ndarray, radius: float) -> np.ndarray:
@@ -296,10 +284,8 @@ def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60):
     params = lo + (hi - lo) * rng.random((J, 6))
     ref_count = int(math.ceil(J * REF_DENSITY["cylinder6d"] ** 6))
     ref_params = lo + (hi - lo) * ref_rng.random((ref_count, 6))
-    return (
-        PointCloud(_cylinder6d_embed(params, n), labels=params),
-        PointCloud(_cylinder6d_embed(ref_params, n), labels=ref_params),
-    )
+    return (PointCloud(_cylinder6d_embed(params, n)),
+            PointCloud(_cylinder6d_embed(ref_params, n)))
 
 
 def _ellipse_images(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +323,7 @@ def gen_ellipse_images(J: int):
     ref_per_axis = int(math.ceil(ELLIPSE_GRID * REF_DENSITY["ellipse_images"]))
     ref_radii = _ellipse_radii_grid(ref_per_axis)
     ref_imgs, ref_masks = _ellipse_images(ref_radii)
-    return (
-        PointCloud(imgs, labels=radii),
-        masks,
-        PointCloud(ref_imgs, labels=ref_radii),
-        ref_masks,
-    )
+    return PointCloud(imgs), masks, PointCloud(ref_imgs), ref_masks
 
 
 def gen_grid_line(J: int, n: int):
@@ -351,10 +332,7 @@ def gen_grid_line(J: int, n: int):
     direction = np.ones(n) / math.sqrt(n)
     t = np.linspace(0.0, 2.0, J)
     t_ref = np.linspace(0.0, 2.0, int(math.ceil(J * REF_DENSITY["grid_line"])))
-    return (
-        PointCloud(t[:, None] * direction, labels=t[:, None]),
-        PointCloud(t_ref[:, None] * direction, labels=t_ref[:, None]),
-    )
+    return PointCloud(t[:, None] * direction), PointCloud(t_ref[:, None] * direction)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +345,13 @@ def add_uniform_noise(P: PointCloud, sigma: float, rng: Rng) -> PointCloud:
     if sigma < 0:
         raise ConfigError("noise magnitude must be non-negative")
     noisy = P.points + rng.uniform(-sigma, sigma, P.points.shape)
-    return PointCloud(noisy, labels=P.labels)
+    return PointCloud(noisy)
 
 
 def add_image_noise(P: PointCloud, sigma: float, rng: Rng) -> PointCloud:
     """Per-pixel Gaussian noise, clipped to the valid intensity range [0, 1]."""
     noisy = P.points + sigma * rng.standard_normal(P.points.shape)
-    return PointCloud(np.clip(noisy, 0.0, 1.0), labels=P.labels)
+    return PointCloud(np.clip(noisy, 0.0, 1.0))
 
 
 def make_dataset(spec: DatasetSpec) -> Dataset:
@@ -385,11 +363,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     """
     root = Rng(spec.seed)
     masks = ref_masks = None
-    extras: dict = {}
     if spec.kind == "o2":
-        clean, reference, A = gen_o2(spec.sample_count, root.stream("mixing"),
-                                     n=spec.ambient_dim)
-        extras["mixing"] = A
+        clean, reference = gen_o2(spec.sample_count, root.stream("mixing"), n=spec.ambient_dim)
     elif spec.kind == "cone_segment":
         clean, reference = gen_cone_segment(spec.sample_count, n=spec.ambient_dim)
     elif spec.kind == "cylinder2d":
@@ -408,7 +383,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     add_noise = add_image_noise if spec.kind == "ellipse_images" else add_uniform_noise
     noisy = add_noise(clean, spec.noise, root.stream("noise"))
     return Dataset(spec=spec, points=noisy, clean=clean, reference=reference,
-                   masks=masks, reference_masks=ref_masks, extras=extras)
+                   masks=masks, reference_masks=ref_masks)
 
 
 # ---------------------------------------------------------------------------

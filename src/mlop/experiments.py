@@ -44,14 +44,6 @@ class ExperimentConfig:
         if (self.dataset_dir is None) == (self.dataset is None):
             raise ConfigError("provide exactly one of dataset_dir / dataset")
 
-    def to_dict(self) -> dict:
-        d = {"solver": self.solver.to_dict(), "out_dir": self.out_dir}
-        if self.dataset_dir is not None:
-            d["dataset_dir"] = self.dataset_dir
-        if self.dataset is not None:
-            d["dataset"] = self.dataset.to_dict()
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_fields(cls, d, "run setting")
@@ -126,7 +118,7 @@ def score_cloud(cloud: PointCloud, ds: Dataset, S: SketchMatrix, diameter: float
         if masks is None:
             masks = nearest_reference_masks(cloud, ds.reference, ds.reference_masks, S,
                                             threads=threads)
-        snr = background_snr(cloud, erode_background(masks)).median
+        snr = background_snr(cloud, erode_background(masks))
     rel = relative_error(cloud, ds.reference, S, errors=err, diameter=diameter)
     fill = fill_distance(cloud, S) if cloud.size >= 2 else None
     return err, rel, float(err.max / diameter), fill, snr
@@ -324,9 +316,9 @@ def pca_benchmark(seed: int = 0, threads: int = 1, bootstraps: int = 10,
     """
     if bootstraps < 1:
         raise ConfigError(f"bootstraps must be at least 1, got {bootstraps}")
-    if not 2 <= subset_size <= sample_count:
-        # the local-PCA radius scales with the subset's fill distance
-        raise ConfigError(f"subset_size must be in [2, sample_count={sample_count}], "
+    if not 3 <= subset_size <= sample_count:
+        # local PCA needs two neighbours besides the point itself
+        raise ConfigError(f"subset_size must be in [3, sample_count={sample_count}], "
                           f"got {subset_size}")
     summary: dict = {}
     for sigma in PCA_SIGMAS:

@@ -37,7 +37,7 @@ def _chunks(total: int):
     return [(i, min(i + CHUNK, total)) for i in range(0, total, CHUNK)]
 
 
-def _run_chunks(fn, total: int, threads: int):
+def _run_chunks(fn, total: int, threads: int = 1):
     """Apply fn(i0, i1) over fixed chunks, optionally on a thread pool.
 
     An exception is re-raised from the first failing chunk in chunk order,
@@ -132,7 +132,7 @@ def _screen(X, Ys, y2, ymax, keep):
     return rows, cols, np.einsum("ij,ij->i", diff, diff)
 
 
-def _scan(chunk_fn, Xs, Ys, threads):
+def _scan(chunk_fn, Xs, Ys, threads: int = 1):
     """Apply chunk_fn(X, Ys, y2, ymax) over fixed row chunks of Xs."""
     y2 = np.einsum("ij,ij->i", Ys, Ys)
     ymax = math.sqrt(y2.max())
@@ -251,30 +251,30 @@ def min_dists(Xs, Ys, threads: int = 1):
     return nearest_rows(Xs, Ys, threads)[0]
 
 
-def max_dists(Xs, Ys, threads: int = 1):
+def max_dists(Xs, Ys):
     """Per row of Xs, the distance to its farthest row of Ys.
 
     Screened like nearest_rows and measured by exact differences; the
     largest entry of ``max_dists(X, X)`` is the diameter of X.
     """
-    return np.concatenate(_scan(_farthest_np, Xs, Ys, threads) or [np.empty(0)])
+    return np.concatenate(_scan(_farthest_np, Xs, Ys) or [np.empty(0)])
 
 
-def radius_pairs(Xs, Ys, radius: float, threads: int = 1):
+def radius_pairs(Xs, Ys, radius: float):
     """Index pairs (i, j) with row j of Ys at exact distance < radius from
     row i of Xs, as two arrays sorted by i, then by j."""
     r2 = radius * radius
-    parts = _scan(lambda X, Ys, y2, ymax: _radius_np(X, Ys, y2, ymax, r2), Xs, Ys, threads)
+    parts = _scan(lambda X, Ys, y2, ymax: _radius_np(X, Ys, y2, ymax, r2), Xs, Ys)
     offsets = [i0 for i0, _ in _chunks(Xs.shape[0])]
     return (np.concatenate([rows + i0 for (rows, _), i0 in zip(parts, offsets)]
                            or [np.empty(0, dtype=int)]),
             np.concatenate([cols for _, cols in parts] or [np.empty(0, dtype=int)]))
 
 
-def self_nn_dists(Xs, threads: int = 1):
+def self_nn_dists(Xs):
     """Per row, the distance to the nearest other row of the same set."""
     out = np.empty(Xs.shape[0])
-    _run_chunks(lambda i0, i1: _self_nn_dists_np(Xs, i0, i1, out), Xs.shape[0], threads)
+    _run_chunks(lambda i0, i1: _self_nn_dists_np(Xs, i0, i1, out), Xs.shape[0])
     return out
 
 

@@ -1,7 +1,7 @@
 """Quantitative evaluation: reconstruction error, image SNR, local-PCA error.
 
-All distances are sketched unless a test passes the identity sketch.  Every
-metric is permutation-invariant in the evaluated cloud.
+All distances are sketched.  Every metric is permutation-invariant in the
+evaluated cloud.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def sketched_diameter(X, S: SketchMatrix) -> float:
     return float(kernels.max_dists(kept, kept).max())
 
 
-def relative_error(Q, reference, S: SketchMatrix, threads: int = 1, *,
+def relative_error(Q, reference, S: SketchMatrix, *,
                    errors: NearestErrors | None = None,
                    diameter: float | None = None) -> float:
     """Mean nearest-reference distance normalized by the reference diameter.
@@ -85,7 +85,7 @@ def relative_error(Q, reference, S: SketchMatrix, threads: int = 1, *,
     if diam <= 0:
         raise ValueError("reference cloud has zero diameter")
     if errors is None:
-        errors = nearest_reference_errors(Q, reference, S, threads=threads)
+        errors = nearest_reference_errors(Q, reference, S)
     return float(np.mean(errors.dists) / diam)
 
 
@@ -97,14 +97,7 @@ def nearest_reference_masks(images, reference, reference_masks,
     return np.asarray(reference_masks)[idx]
 
 
-@dataclass(frozen=True)
-class SnrResult:
-    median: float | None
-    per_image: np.ndarray
-    excluded: int
-
-
-def background_snr(images, masks) -> SnrResult:
+def background_snr(images, masks) -> float | None:
     """Median over images of mean/std on each image's background pixels.
 
     Images with constant background (zero sample standard deviation) cannot
@@ -115,24 +108,19 @@ def background_snr(images, masks) -> SnrResult:
     masks = np.asarray(masks, dtype=bool)
     if masks.shape != imgs.shape:
         raise ValueError(f"masks shape {masks.shape} does not match images {imgs.shape}")
-    values = np.full(imgs.shape[0], np.inf)
-    excluded = 0
+    values = []
     for k in range(imgs.shape[0]):
         bg = imgs[k, masks[k]]
         if bg.size < 2:
             raise ValueError(f"image {k} has fewer than 2 background pixels")
-        mu = float(bg.mean())
         sd = float(bg.std(ddof=1))
-        if sd == 0.0:
-            excluded += 1
-            continue
-        values[k] = mu / sd
+        if sd != 0.0:
+            values.append(float(bg.mean()) / sd)
+    excluded = imgs.shape[0] - len(values)
     if excluded:
         logger.warning("%d images had constant background; excluded from SNR median",
                        excluded)
-    finite = values[np.isfinite(values)]
-    median = float(np.median(finite)) if finite.size else None
-    return SnrResult(median=median, per_image=values, excluded=excluded)
+    return float(np.median(values)) if values else None
 
 
 def erode_background(masks: np.ndarray) -> np.ndarray:

@@ -66,17 +66,14 @@ class Rng:
 
     def standard_normal(self, size) -> np.ndarray:
         """N(0,1) variates via Box-Muller on uniform doubles."""
-        n = int(np.prod(size)) if not np.isscalar(size) else int(size)
+        n = int(np.prod(size))
         half = (n + 1) // 2
         # 1 - U keeps the log argument in (0, 1].
         u1 = 1.0 - self._gen.random(half)
         u2 = self._gen.random(half)
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-        out = z[:n]
-        if np.isscalar(size):
-            return out.reshape(size) if size != n else out
-        return out.reshape(size)
+        return z[:n].reshape(size)
 
     def subsample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices out of range(n), in increasing order.

@@ -41,11 +41,6 @@ class SketchMatrix:
     def n(self) -> int:
         return self.s.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "SketchMatrix":
-        """Exact-norm sketch (m = n); lets low-dimensional tests bypass projection error."""
-        return cls(np.eye(n))
-
     def project(self, points) -> np.ndarray:
         """Project points-as-rows into the sketch space: X @ S."""
         return as_points(points) @ self.s

@@ -187,7 +187,6 @@ class SolverResult:
     converged: bool
     iterations_run: int
     sketch: SketchMatrix
-    params: RunParams
 
 
 def _init_indices(P: PointCloud, config: SolverConfig, S: SketchMatrix, rng: Rng) -> np.ndarray:
@@ -299,7 +298,6 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         # the converging iteration is traced but takes no step
         iterations_run=len(trace) - converged,
         sketch=S,
-        params=rp,
     )
 
 

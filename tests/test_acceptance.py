@@ -43,7 +43,7 @@ def report(criterion, passed, detail):
 
 
 def test_criterion_1_gradient_oracle():
-    S = SketchMatrix.identity(8)
+    S = SketchMatrix(np.eye(8))
     rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=math.inf, cutoff2=math.inf,
                    delta_min=1e-12)
     step = 1e-6
@@ -243,7 +243,7 @@ def test_criterion_6_pca_benchmark():
 def test_criterion_7_support_count():
     grid = np.stack(np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij"),
                     -1).reshape(-1, 2)
-    S = SketchMatrix.identity(2)
+    S = SketchMatrix(np.eye(2))
     margin = 4.0
     interior = grid[(grid[:, 0] >= margin) & (grid[:, 0] <= 23 - margin)
                     & (grid[:, 1] >= margin) & (grid[:, 1] <= 23 - margin)]
@@ -277,7 +277,7 @@ def test_criterion_8_property_suites():
 
     # balance equality at iteration 0, from the run's own force terms
     S = short.sketch
-    rp = short.params
+    rp = RunParams.from_supports(short.supports)
     Q0 = pts.points[short.q0_indices]
     attr = kernels.attraction_forces(Q0, pts.points, Q0 @ S.s, pts.points @ S.s,
                                      rp.h1, rp.eps, rp.cutoff1)
@@ -315,7 +315,7 @@ def test_criterion_8_property_suites():
     rng = np.random.default_rng(23)
     Q = rng.normal(size=(40, 4))
     ref = rng.normal(size=(100, 4))
-    S4 = SketchMatrix.identity(4)
+    S4 = SketchMatrix(np.eye(4))
     err = nearest_reference_errors(Q, ref, S4)
     brute = np.sqrt(((Q[:, None, :] - ref[None, :, :]) ** 2).sum(-1)).min(1)
     nearest_ok = bool(np.allclose(err.dists, brute, rtol=1e-9))
@@ -323,7 +323,7 @@ def test_criterion_8_property_suites():
 
     P100 = rng.normal(size=(100, 3))
     Q30 = P100[rng.permutation(100)[:30]]
-    S3 = SketchMatrix.identity(3)
+    S3 = SketchMatrix(np.eye(3))
     h0 = float(np.median([np.delete(np.linalg.norm(P100 - p, axis=1),
                                     i).min() for i, p in enumerate(P100)]))
     from test_neighborhood import brute_force_c1

@@ -206,6 +206,30 @@ def test_metrics_missing_cloud_io_error(tmp_path):
     assert code == 4
 
 
+def test_metrics_cloud_of_another_dimension_exits_2(tmp_path, capsys):
+    data8, data9 = tmp_path / "data8", tmp_path / "data9"
+    main(gen_args(data8))
+    main(gen_args(data9, extra=("--ambient-dim", "9")))
+    code = main(["metrics", "--dataset-dir", str(data8), "--q", str(data9 / "P.csv"),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "ambient dimension 9, the dataset has 8" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_metrics_sketch_of_another_dimension_exits_2(tmp_path, capsys):
+    data8, data60 = tmp_path / "data8", tmp_path / "data60"
+    main(gen_args(data8))
+    main(gen_args(data60, extra=("--ambient-dim", "60")))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_config(tmp_path, data60, out, max_iters=0))]) == 0
+    code = main(["metrics", "--dataset-dir", str(data8), "--q", str(data8 / "P.csv"),
+                 "--sketch", str(out / "sketch.csv"), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "sketch expects ambient dimension 60, the dataset has 8" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_reproduce_smoke(tmp_path):
     code = main(["reproduce", "cylinder2d", "--out", str(tmp_path), "--seed", "3",
                  "--override", "sample_count=64", "--override", "q_size=12",
@@ -398,7 +422,7 @@ def test_unreachable_support_exits_2(tmp_path, capsys):
     assert "candidate neighbours" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "1", "817", "\"abc\""])
+@pytest.mark.parametrize("value", ["0", "1", "2", "817", "\"abc\""])
 def test_pca_benchmark_subset_size_out_of_range_exits_2(tmp_path, capsys, value):
     code = main(["reproduce", "pca-benchmark", "--out", str(tmp_path), "--bootstraps", "1",
                  "--override", f"subset_size={value}"])

@@ -76,13 +76,8 @@ def test_points_are_immutable():
         cloud.points[0, 0] = 3.0
 
 
-def test_labels_length_checked():
-    with pytest.raises(ValueError, match="labels"):
-        PointCloud([[1.0], [2.0]], labels=[[0.0]])
-
-
-def test_subset_keeps_labels():
-    cloud = PointCloud([[1.0], [2.0], [3.0]], labels=[[10.0], [20.0], [30.0]])
-    sub = cloud.subset([2, 0])
-    assert np.array_equal(sub.points, [[3.0], [1.0]])
-    assert np.array_equal(sub.labels, [[30.0], [10.0]])
+def test_subset_keeps_point_order():
+    cloud = PointCloud([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+    sub = cloud.subset([2, 0, 2])
+    assert np.array_equal(sub.points, [[3.0, 30.0], [1.0, 10.0], [3.0, 30.0]])
+    assert not sub.points.flags.writeable

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mlop.datasets import (KINDS, DatasetSpec, _axis_counts, _cone_embed,
-                           _cylinder2d_embed, add_image_noise,
+                           _cylinder2d_embed, _cylinder6d_embed, add_image_noise,
                            add_uniform_noise, gen_ellipse_images, gen_grid_line,
-                           gen_o2, make_dataset, sphere5_coords)
+                           gen_o2, make_dataset, random_orthogonal, sphere5_coords)
 from mlop.errors import ConfigError
 from mlop.neighborhood import fill_distance
 from mlop.rng import Rng
@@ -27,10 +27,12 @@ def test_axis_counts():
 
 
 def test_o2_embeds_rotations():
-    clean, ref, A = gen_o2(500, Rng(0).stream("mixing"))
+    clean, ref = gen_o2(500, Rng(0).stream("mixing"))
     assert clean.size == 500 and clean.ambient_dim == 60
     # undo the mixing: theta = 0 maps to [1, 0, 0, 1, 0, ...]
-    idx = int(np.argmin(np.abs(clean.labels[:, 0])))
+    A = random_orthogonal(60, Rng(0).stream("mixing"))
+    theta = np.linspace(-np.pi, np.pi, 500, endpoint=False)
+    idx = int(np.argmin(np.abs(theta)))
     p_hat = clean.points[idx] @ A
     expected = np.zeros(60)
     expected[[0, 3]] = 1.0
@@ -82,8 +84,11 @@ def test_cylinder2d_formula_point():
 def test_cylinder2d_paper_scale_grid():
     ds = make_dataset(DatasetSpec(kind="cylinder2d", sample_count=816, seed=0))
     assert ds.points.size == 816
-    assert len(np.unique(ds.clean.labels[:, 0])) == 24
-    assert len(np.unique(ds.clean.labels[:, 1])) == 34
+    pts = ds.clean.points
+    t = pts[:, 4]  # only the sweep parameter reaches the fifth coordinate
+    assert len(np.unique(t)) == 24
+    angle = np.arctan2(pts[:, 0] - t, pts[:, 1] - t)
+    assert len(np.unique(np.round(angle, 9))) == 34
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +119,13 @@ def test_cylinder6d_draws_from_the_root_streams():
     ds = make_dataset(DatasetSpec(kind="cylinder6d", sample_count=40, noise=0.1, seed=5))
     lo = np.array([0.0] + [0.1 * np.pi] * 5)
     hi = np.array([2.0] + [0.6 * np.pi] * 5)
-    ref = ds.reference.labels
-    assert np.array_equal(ds.clean.labels,
-                          lo + (hi - lo) * Rng(5).stream("structure").random((40, 6)))
-    assert np.array_equal(ref, lo + (hi - lo) * Rng(5).stream("reference").random((2560, 6)))
-    # pinned bytes of the reference parameters: no stream may move a draw
-    assert (hashlib.sha256(ref.tobytes()).hexdigest()
-            == "3c9a1b35dc1d7a7370b7d4917e84ad77ec61e42ce0314ba6a7dbf85fc555104a")
+    params = lo + (hi - lo) * Rng(5).stream("structure").random((40, 6))
+    ref_params = lo + (hi - lo) * Rng(5).stream("reference").random((2560, 6))
+    assert np.array_equal(ds.clean.points, _cylinder6d_embed(params, 60))
+    assert np.array_equal(ds.reference.points, _cylinder6d_embed(ref_params, 60))
+    # pinned bytes of the reference: no stream may move a draw
+    assert (hashlib.sha256(ds.reference.points.tobytes()).hexdigest()
+            == "4abd74d2a315e66c044638e82c4af7cb7858c2254b565e501c5a9fa82ee73467")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,7 @@ def test_ellipse_images_binary_with_masks():
     assert np.array_equal(masks, clean.points == 0.0)
     assert ref.size == 3600 and ref_masks.shape == (3600, 400)
     # the largest ellipse still leaves background
-    biggest = int(np.argmax(clean.labels[:, 0] + clean.labels[:, 1]))
+    biggest = int(np.argmax(clean.points.sum(axis=1)))
     assert masks[biggest].sum() > 0
 
 
@@ -152,7 +157,7 @@ def test_ellipse_count_cap():
 
 def test_grid_line_geometry():
     line, ref = gen_grid_line(33, 8)
-    S = SketchMatrix.identity(8)
+    S = SketchMatrix(np.eye(8))
     assert fill_distance(line, S) == pytest.approx(2.0 / 32.0)
     centered = line.points - line.points.mean(0)
     assert np.linalg.matrix_rank(centered, tol=1e-10) == 1
@@ -248,7 +253,7 @@ def test_density_condition_ball_counts():
     within radius k*h grows no faster than a fixed multiple of k^d."""
     ds = make_dataset(DatasetSpec(kind="cylinder2d", sample_count=300, noise=0.05, seed=4))
     pts = ds.points.points
-    S = SketchMatrix.identity(60)
+    S = SketchMatrix(np.eye(60))
     h = fill_distance(pts, S)
     centers = pts[:: len(pts) // 25]
     d = 2

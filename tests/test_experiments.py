@@ -63,7 +63,7 @@ def test_scores_of_a_run_on_the_reference_are_zero():
     ds = make_dataset(DatasetSpec(kind="grid_line", sample_count=24, ambient_dim=8, seed=2))
     ds = dataclasses.replace(ds, reference=ds.points)
     cfg = SolverConfig(q_size=8, max_iters=0, sketch_dim=8)
-    result = solver.run(ds.points, cfg, sketch=SketchMatrix.identity(8))
+    result = solver.run(ds.points, cfg, sketch=SketchMatrix(np.eye(8)))
     report, err = experiments.score_run(ds, result, cfg, 0.0)
     assert np.all(err.dists == 0.0)
     assert report.relative_error == 0.0 and report.max_rel_error == 0.0

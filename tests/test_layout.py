@@ -5,9 +5,12 @@ with a leading underscore that is not a dunder, and the check fails on
 ``from .other import _name`` and on reading ``other._name`` through a name
 bound to another mlop module.
 
-No public top-level function or class of ``src/mlop`` is there for tests
+No public top-level function or class of ``src/mlop``, and no public
+method, classmethod or property of a top-level class, is there for tests
 alone: each is referenced somewhere in ``src/mlop`` outside its own
 definition and ``__init__.py``, or by the benchmark in ``perfbench/``.
+Members match by name alone, so a reference to another class's member of
+the same name counts as a use.
 """
 
 import ast
@@ -95,42 +98,58 @@ def test_guard_flags_private_reaches(source, flagged):
     assert bool(private_reaches(source, "mlop.metrics")) == flagged
 
 
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def node_names(node) -> set[str]:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name.split(".")[-1]}
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and DOTTED.fullmatch(node.value)):
+        return set(node.value.split("."))
+    return set()
+
+
 def referenced_names(source: str, skip_own_defs: bool = False) -> set[str]:
     """Every name that ``source`` reads, imports or spells as a string that
     is a dotted name ("kernels.min_dists" gives both parts; prose does not
-    count).  With ``skip_own_defs`` a top-level definition's references to
-    its own name do not count."""
-    tree = ast.parse(source)
+    count).  With ``skip_own_defs`` a definition's references to its own
+    name do not count."""
     names = set()
-    for top in tree.body:
-        own = (getattr(top, "name", None) if skip_own_defs
-               and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found = {node.id}
-            elif isinstance(node, ast.Attribute):
-                found = {node.attr}
-            elif isinstance(node, ast.alias):
-                found = {node.name.split(".")[-1]}
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and DOTTED.fullmatch(node.value)):
-                found = set(node.value.split("."))
-            else:
-                continue
-            names |= found - {own}
+
+    def visit(node, own):
+        if skip_own_defs and isinstance(node, DEFS):
+            own = own | {node.name}
+        names.update(node_names(node) - own)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
     return names
 
 
 def public_defs(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """Public top-level functions and classes, and the public members of
+    those classes as "Class.member"."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
 
 
 def unreferenced_public_defs(library: dict, outside: list) -> list[str]:
-    """"module.name" for each public top-level definition of the library
-    modules (name -> source) that no library module other than __init__, and
-    no source in ``outside``, references."""
+    """"module.name" for each public definition of the library modules
+    (name -> source) that no library module other than __init__, and no
+    source in ``outside``, references; a member counts as referenced when
+    its own name is."""
     used = set()
     for mod, source in library.items():
         if mod != "__init__":
@@ -138,7 +157,7 @@ def unreferenced_public_defs(library: dict, outside: list) -> list[str]:
     for source in outside:
         used |= referenced_names(source)
     return [f"{mod}.{name}" for mod, source in library.items()
-            for name in public_defs(source) if name not in used]
+            for name in public_defs(source) if name.split(".")[-1] not in used]
 
 
 def test_every_public_definition_has_a_non_test_user():
@@ -157,3 +176,18 @@ def test_guard_flags_test_only_definitions():
     }
     outside = ['TARGETS = ("a.traced",)', '"""Docstring: see a.recursive."""']
     assert unreferenced_public_defs(library, outside) == ["a.exported_only", "a.recursive"]
+    # members of top-level classes: a method, property or classmethod that
+    # only its own body or a test names is flagged
+    library = {
+        "a": "class Box:\n"
+             "    def __init__(self): self.width = self.measured()\n"
+             "    def measured(self): return 1\n"
+             "    @property\n    def size(self): return self.size\n"
+             "    @classmethod\n    def empty(cls): return cls()\n"
+             "    def traced(self): pass\n"
+             "    def _private(self): pass\n"
+             "def make(): return Box().width",
+        "b": "from .a import make\nmake()",
+    }
+    outside = ['TARGETS = ("a.traced",)']
+    assert unreferenced_public_defs(library, outside) == ["a.Box.size", "a.Box.empty"]

@@ -122,7 +122,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_identity_sketch():
-    S = SketchMatrix.identity(4)
+    S = SketchMatrix(np.eye(4))
     assert sketched_norm(S, [3.0, 0.0, 0.0, 4.0]) == 5.0
 
 

@@ -15,8 +15,8 @@ from oracles import (attraction_coeff, bb_step, descended_field, eta, eta_abs_de
                      gradient_at, h_eps_norm, median_pull_at, point_cost,
                      repulsion_coeff)
 
-S8 = SketchMatrix.identity(8)
-S2 = SketchMatrix.identity(2)
+S8 = SketchMatrix(np.eye(8))
+S2 = SketchMatrix(np.eye(2))
 
 OPEN_PARAMS = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=math.inf,
                         cutoff2=math.inf, delta_min=1e-12)
@@ -317,7 +317,7 @@ def test_around_point_init():
     pts = PointCloud(np.arange(20.0)[:, None] * np.ones(4))
     cfg = SolverConfig(q_size=3, max_iters=0, seed=0, sketch_dim=4,
                        init="around_point", init_index=10)
-    res = run(pts, cfg, sketch=SketchMatrix.identity(4))
+    res = run(pts, cfg, sketch=SketchMatrix(np.eye(4)))
     assert set(res.q0_indices.tolist()) == {9, 10, 11}
 
 
