@@ -8,6 +8,8 @@ that save followed by load reproduces every coordinate exactly.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,43 +62,43 @@ def as_points(cloud) -> np.ndarray:
 
 
 def load_cloud(path) -> PointCloud:
-    """Read a CSV point cloud; malformed input reports row/column location."""
+    """Read a CSV point cloud.
+
+    Values are parsed by one ``np.loadtxt`` call.  A file that it or
+    PointCloud rejects raises CloudFormatError naming the file and, where
+    ``_defect`` finds it, the row and column of the first bad cell.
+    """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # on empty input; _defect names it
+            return PointCloud(np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64,
+                                         comments=None, encoding="ascii"))
     except OSError as exc:
         raise CloudFormatError(f"{path}: cannot read file: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
-    if not lines:
-        raise CloudFormatError(f"{path}: file contains no data lines")
-    # Fast path: well-formed files parse in one numpy call.  The manual
-    # parser below only runs to pinpoint the defect.
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        if arr.shape[0] == len(lines):
-            return PointCloud(arr)
-    except Exception:
-        pass
-    width = None
-    rows = []
-    for i, ln in enumerate(lines):
-        cells = ln.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise CloudFormatError(
-                f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
-            )
-        row = np.empty(width)
-        for j, cell in enumerate(cells):
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise CloudFormatError(f"{path}: {_defect(path) or exc}") from None
+
+
+def _defect(path) -> str | None:
+    """Where a file that load_cloud rejected goes wrong: no data line, a row
+    of another width, or a cell that is not a finite number.  Rows count the
+    non-empty lines; a non-ASCII byte shows as a backslash escape."""
+    with open(path, encoding="ascii", errors="backslashreplace") as fh:
+        rows = [line.split(",") for line in fh.read().split("\n") if line]
+    if not rows:
+        return "file contains no data lines"
+    width = len(rows[0])
+    for i, cells in enumerate(rows, 1):
+        if len(cells) != width:
+            return f"row {i} has {len(cells)} columns, expected {width}"
+        for j, cell in enumerate(cells, 1):
             try:
-                row[j] = float(cell)
+                finite = math.isfinite(float(cell))
             except ValueError:
-                raise CloudFormatError(
-                    f"{path}: row {i + 1}, column {j + 1}: non-numeric cell {cell!r}"
-                ) from None
-        rows.append(row)
-    return PointCloud(np.vstack(rows))
+                return f"row {i}, column {j}: non-numeric cell {cell!r}"
+            if not finite:
+                return f"row {i}, column {j}: non-finite cell {cell!r}"
+    return None
 
 
 def save_cloud(cloud, path) -> None:
@@ -110,4 +112,15 @@ def write_matrix(arr: np.ndarray, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in arr:
             fh.write(",".join(format(v, ".17g") for v in row))
+            fh.write("\n")
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """Write a CSV table: the header line, then one line per row with floats
+    at 17 significant digits and every other value as ``str`` gives it."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row))
             fh.write("\n")

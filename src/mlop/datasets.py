@@ -406,14 +406,36 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 
 
 def load_dataset_dir(path) -> Dataset:
-    """Re-assemble a dataset bundle written by ``write_dataset``."""
+    """Re-assemble a dataset bundle written by ``write_dataset``.
+
+    A P.csv of one point, a reference in another dimension than P.csv or
+    with no extent to normalize errors by, and a mask table of another shape
+    than its cloud raise CloudFormatError naming the file.
+    """
     d = Path(path)
     spec = DatasetSpec.from_json(d / "spec.json")
     points = load_cloud(d / "P.csv")
     reference = load_cloud(d / "reference.csv")
+    if points.size < 2:
+        raise CloudFormatError(f"{d / 'P.csv'}: 1 point, a dataset needs at least 2")
+    if reference.ambient_dim != points.ambient_dim:
+        raise CloudFormatError(f"{d / 'reference.csv'}: {reference.ambient_dim} columns, "
+                               f"P.csv has {points.ambient_dim}")
+    if not np.ptp(reference.points, axis=0).any():
+        raise CloudFormatError(f"{d / 'reference.csv'}: all points coincide, so the "
+                               "reference has no diameter")
     masks = ref_masks = None
     if (d / "masks.csv").exists():
-        masks = load_cloud(d / "masks.csv").points.astype(bool)
-        ref_masks = load_cloud(d / "reference_masks.csv").points.astype(bool)
+        masks = _load_masks(d / "masks.csv", points, "P.csv")
+        ref_masks = _load_masks(d / "reference_masks.csv", reference, "reference.csv")
     return Dataset(spec=spec, points=points, reference=reference,
                    masks=masks, reference_masks=ref_masks)
+
+
+def _load_masks(path: Path, cloud: PointCloud, cloud_file: str) -> np.ndarray:
+    """Boolean masks from path, which must have the shape of cloud."""
+    masks = load_cloud(path).points
+    if masks.shape != cloud.points.shape:
+        raise CloudFormatError(f"{path}: shape {masks.shape}, {cloud_file} has "
+                               f"{cloud.points.shape}")
+    return masks.astype(bool)

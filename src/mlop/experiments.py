@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import solver as solver_mod
-from .cloud import PointCloud, save_cloud, write_matrix
+from .cloud import PointCloud, save_cloud, write_matrix, write_table
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import ConfigError, check_fields
 from .metrics import (NearestErrors, background_snr, erode_background,
@@ -24,7 +24,7 @@ from .metrics import (NearestErrors, background_snr, erode_background,
 from .neighborhood import fill_distance
 from .rng import Rng
 from .sketch import SketchMatrix, save_sketch
-from .solver import SolverConfig, SolverResult, write_trace
+from .solver import SolverConfig, SolverResult, TraceRecord
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -172,7 +172,9 @@ def run_experiment(ds: Dataset, config: SolverConfig,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_cloud(result.q_final, out / "Q_final.csv")
-        write_trace(result.trace, out / "trace.csv")
+        write_table(out / "trace.csv", [f.name for f in fields(TraceRecord)],
+                    [[*astuple(rec)[:-1], format(rec.wall_ms, ".3f")]
+                     for rec in result.trace])
         save_sketch(result.sketch, out / "sketch.csv")
         report.save(out / "report.json")
         # per-point nearest-reference distances, plot-ready
@@ -184,40 +186,36 @@ def run_experiment(ds: Dataset, config: SolverConfig,
 # canned reproductions
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_NAMES = ("o2", "cone", "cylinder2d", "noise-sweep", "cylinder6d",
-                    "ellipses", "pca-benchmark")
-
 NOISE_SWEEP_SIGMAS = (0.0, 0.1, 0.2, 0.5)
 PCA_SIGMAS = (0.1, 0.2)
 
 
-def _base_recipe(name: str, seed: int) -> tuple[DatasetSpec, SolverConfig]:
-    if name == "o2":
-        spec = DatasetSpec(kind="o2", sample_count=500, noise=0.2, seed=seed)
-        cfg = SolverConfig(q_size=50, max_iters=500, seed=seed,
-                           init="around_point", init_index=250)
-    elif name == "cone":
-        spec = DatasetSpec(kind="cone_segment", sample_count=720, noise=0.2, seed=seed)
-        cfg = SolverConfig(q_size=144, max_iters=500, seed=seed,
-                           init="around_point", init_index=360)
-    elif name == "cylinder2d":
-        spec = DatasetSpec(kind="cylinder2d", sample_count=816, noise=0.1, seed=seed)
-        cfg = SolverConfig(q_size=163, max_iters=500, seed=seed,
-                           init="around_point", init_index=408)
-    elif name == "cylinder6d":
-        spec = DatasetSpec(kind="cylinder6d", sample_count=1200, noise=0.1, seed=seed)
-        cfg = SolverConfig(q_size=460, max_iters=300, seed=seed, init="random")
-    elif name == "ellipses":
-        spec = DatasetSpec(kind="ellipse_images", sample_count=900, noise=0.05, seed=seed)
-        cfg = SolverConfig(q_size=180, max_iters=1000, seed=seed, init="random")
-    else:
-        raise ConfigError(f"no base recipe for {name!r}")
-    return spec, cfg
+# The single-run recipes of ``reproduce``: each dataset at its benchmark
+# scale and its solver settings.  ``reproduce`` sets the seed and thread
+# count of both; the noise sweep runs the cylinder2d row at each of its
+# noise levels.
+RECIPES = {
+    "o2": (DatasetSpec(kind="o2", sample_count=500, noise=0.2),
+           SolverConfig(q_size=50, max_iters=500, init="around_point")),
+    "cone": (DatasetSpec(kind="cone_segment", sample_count=720, noise=0.2),
+             SolverConfig(q_size=144, max_iters=500, init="around_point")),
+    "cylinder2d": (DatasetSpec(kind="cylinder2d", sample_count=816, noise=0.1),
+                   SolverConfig(q_size=163, max_iters=500, init="around_point")),
+    "cylinder6d": (DatasetSpec(kind="cylinder6d", sample_count=1200, noise=0.1),
+                   SolverConfig(q_size=460, max_iters=300, init="random")),
+    "ellipses": (DatasetSpec(kind="ellipse_images", sample_count=900, noise=0.05),
+                 SolverConfig(q_size=180, max_iters=1000, init="random")),
+}
+EXPERIMENT_NAMES = (*RECIPES, "noise-sweep", "pca-benchmark")
 
 
-def _apply_overrides(spec: DatasetSpec, cfg: SolverConfig, overrides: dict):
-    sd = spec.to_dict()
-    cd = cfg.to_dict()
+def _recipe_run(name: str, seed: int, threads: int,
+                overrides: dict) -> tuple[DatasetSpec, SolverConfig]:
+    """The dataset spec and solver config of recipe ``name`` at the given
+    seed and thread count, with each override set on the field it names."""
+    spec, cfg = RECIPES[name]
+    sd = dict(spec.to_dict(), seed=seed)
+    cd = dict(cfg.to_dict(), seed=seed, threads=threads)
     for key, value in overrides.items():
         if key in sd:
             sd[key] = value
@@ -226,15 +224,6 @@ def _apply_overrides(spec: DatasetSpec, cfg: SolverConfig, overrides: dict):
         else:
             raise ConfigError(f"unknown override {key!r}")
     return DatasetSpec.from_dict(sd), SolverConfig.from_dict(cd)
-
-
-def _write_summary(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
 
 
 def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
@@ -260,21 +249,17 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
     if name == "pca-benchmark":
         return _reproduce_pca_benchmark(out, seed, threads, overrides, bootstraps)
 
-    spec, cfg = _base_recipe(name, seed)
-    spec, cfg = _apply_overrides(spec, cfg, overrides)
-    cfg = replace(cfg, threads=threads)
+    spec, cfg = _recipe_run(name, seed, threads, overrides)
     ds = make_dataset(spec)
     report, _ = run_experiment(ds, cfg, out_dir=out)
-    rows = [[spec.kind, float(spec.noise), report.relative_error, report.rmse_initial,
-             report.rmse, report.fill_distance_initial, report.fill_distance_final]]
+    header = ["kind", "noise", "relative_error", "rmse_initial", "rmse_final",
+              "fill_initial", "fill_final"]
+    row = [spec.kind, float(spec.noise), report.relative_error, report.rmse_initial,
+           report.rmse, report.fill_distance_initial, report.fill_distance_final]
     if report.snr_initial is not None:
-        rows[0].extend([report.snr_initial, report.snr_final])
-        header = ["kind", "noise", "relative_error", "rmse_initial", "rmse_final",
-                  "fill_initial", "fill_final", "snr_initial", "snr_final"]
-    else:
-        header = ["kind", "noise", "relative_error", "rmse_initial", "rmse_final",
-                  "fill_initial", "fill_final"]
-    _write_summary(out / "summary.csv", header, rows)
+        header += ["snr_initial", "snr_final"]
+        row += [report.snr_initial, report.snr_final]
+    write_table(out / "summary.csv", header, [row])
     return {"report": report.to_dict()}
 
 
@@ -285,14 +270,13 @@ def _reproduce_noise_sweep(out: Path, seed: int, threads: int, overrides: dict) 
     rows = []
     reports = {}
     for sigma in NOISE_SWEEP_SIGMAS:
-        spec, cfg = _base_recipe("cylinder2d", seed)
-        spec, cfg = _apply_overrides(spec, cfg, dict(overrides, noise=float(sigma)))
-        cfg = replace(cfg, threads=threads)
+        spec, cfg = _recipe_run("cylinder2d", seed, threads,
+                                dict(overrides, noise=float(sigma)))
         ds = make_dataset(spec)
         report, _ = run_experiment(ds, cfg, out_dir=out / f"sigma_{sigma:g}")
         rows.append([float(sigma), report.relative_error])
         reports[f"{sigma:g}"] = report.to_dict()
-    _write_summary(out / "summary.csv", ["sigma", "relative_error"], rows)
+    write_table(out / "summary.csv", ["sigma", "relative_error"], rows)
     return {"sweep": rows, "reports": reports}
 
 
@@ -360,5 +344,5 @@ def _reproduce_pca_benchmark(out: Path, seed: int, threads: int, overrides: dict
     for sigma, vals in summary.items():
         for name in ("clean_random", "noisy", "denoised"):
             rows.append([name, float(sigma), vals[name]])
-    _write_summary(out / "summary.csv", ["dataset", "sigma", "pca_angle_deg"], rows)
+    write_table(out / "summary.csv", ["dataset", "sigma", "pca_angle_deg"], rows)
     return {"pca": summary}

@@ -62,7 +62,8 @@ class SolverConfig:
     floored at 1e-4 times that first step.  No point ever moves farther than
     h1 in one iteration (displacement trust region).  The iteration descends
     the median-pull field of the module docstring; no setting selects
-    another.
+    another.  ``init`` starts Q from a random subsample ("random") or from
+    the q_size samples nearest the middle sample J // 2 ("around_point").
     """
 
     q_size: int
@@ -70,7 +71,6 @@ class SolverConfig:
     sketch_dim: int = 10
     seed: int = 0
     init: str = "random"
-    init_index: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -194,12 +194,11 @@ def _init_indices(P: PointCloud, config: SolverConfig, S: SketchMatrix, rng: Rng
     I = config.q_size
     if config.init == "random":
         return rng.subsample(J, I)
-    if not 0 <= config.init_index < J:
-        raise ConfigError(f"init_index {config.init_index} out of range for {J} points")
-    # project once: a separately projected copy of the centre row can differ
-    # from its row of S.project(P) in the last bits
+    # around_point: the I samples nearest the middle sample J // 2.  Project
+    # once: a separately projected copy of the centre row can differ from its
+    # row of S.project(P) in the last bits
     Ps = S.project(P)
-    d = kernels.min_dists(Ps, Ps[config.init_index][None, :])
+    d = kernels.min_dists(Ps, Ps[J // 2][None, :])
     return np.sort(np.argsort(d, kind="stable")[:I])
 
 
@@ -299,13 +298,3 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         iterations_run=len(trace) - converged,
         sketch=S,
     )
-
-
-def write_trace(trace: list[TraceRecord], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,max_grad_norm,cost,fill_distance_q,wall_ms\n")
-        for rec in trace:
-            fh.write(
-                f"{rec.iter},{rec.max_grad_norm:.17g},{rec.cost:.17g},"
-                f"{rec.fill_distance_q:.17g},{rec.wall_ms:.3f}\n"
-            )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from mlop.cli import main
 from mlop.cloud import load_cloud
-from mlop.datasets import KINDS
+from mlop.datasets import KINDS, DatasetSpec
+from mlop.experiments import EXPERIMENT_NAMES
+from mlop.solver import SolverConfig
 
 
 def read_bytes(path):
@@ -233,10 +236,23 @@ def test_metrics_sketch_of_another_dimension_exits_2(tmp_path, capsys):
 def test_reproduce_smoke(tmp_path):
     code = main(["reproduce", "cylinder2d", "--out", str(tmp_path), "--seed", "3",
                  "--override", "sample_count=64", "--override", "q_size=12",
-                 "--override", "max_iters=3", "--override", "init_index=30"])
+                 "--override", "max_iters=3"])
     assert code == 0
     assert (tmp_path / "cylinder2d" / "summary.csv").exists()
     assert (tmp_path / "cylinder2d" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["o2", "cone", "cylinder2d"])
+def test_around_point_recipe_at_desk_scale_needs_no_centre(tmp_path, name):
+    # the around-point recipes centre on the middle sample of whatever
+    # sample count the run has
+    code = main(["reproduce", name, "--out", str(tmp_path),
+                 "--override", "sample_count=64", "--override", "q_size=12",
+                 "--override", "max_iters=2"])
+    assert code == 0
+    report = json.loads((tmp_path / name / "report.json").read_text())
+    assert report["config"]["solver"]["init"] == "around_point"
+    assert "init_index" not in report["config"]["solver"]
 
 
 def test_reproduce_rejects_bad_override(tmp_path):
@@ -249,9 +265,56 @@ def test_out_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MLOP_OUT_ROOT", str(tmp_path / "rooted"))
     code = main(["reproduce", "cylinder2d", "--seed", "1",
                  "--override", "sample_count=64", "--override", "q_size=12",
-                 "--override", "max_iters=2", "--override", "init_index=30"])
+                 "--override", "max_iters=2"])
     assert code == 0
     assert (tmp_path / "rooted" / "cylinder2d" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("body", [b"0,1\n1,\xe9\n", b"0,1\n1,nan\n", b"0,1\n1,0#note\n"],
+                         ids=["non-ascii", "non-finite", "comment"])
+def test_bad_csv_cell_exits_4_naming_the_file(tmp_path, capsys, body):
+    data = tmp_path / "data"
+    main(gen_args(data))
+    q = tmp_path / "q.csv"
+    q.write_bytes(body)
+    code = main(["metrics", "--dataset-dir", str(data), "--q", str(q),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    assert f"{q}: row 2, column 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect, named", [
+    ("P", "P.csv: 1 point, a dataset needs at least 2"),
+    ("reference", "reference.csv: 9 columns, P.csv has 8"),
+    ("coincident", "reference.csv: all points coincide"),
+    ("masks", "masks.csv: shape (5, 400), P.csv has (20, 400)"),
+    ("reference_masks", "reference_masks.csv: shape (5, 400), reference.csv has"),
+], ids=["one-point", "reference-columns", "coincident-reference", "masks",
+        "reference-masks"])
+@pytest.mark.parametrize("command", ["run", "metrics"])
+def test_bad_bundle_file_exits_4(tmp_path, capsys, defect, named, command):
+    data = tmp_path / "data"
+    if "masks" in defect:
+        main(gen_args(data, kind="ellipse_images", count=20))
+    else:
+        main(gen_args(data))
+    if defect == "reference":
+        main(gen_args(tmp_path / "data9", extra=("--ambient-dim", "9")))
+        (data / "reference.csv").write_bytes((tmp_path / "data9" / "reference.csv").read_bytes())
+    elif defect == "coincident":
+        (data / "reference.csv").write_text("0.5,1,0,0,0,0,0,0\n" * 3)
+    else:  # keep the first rows only
+        path = data / f"{defect}.csv"
+        rows = 1 if defect == "P" else 5
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:rows]))
+    if command == "run":
+        argv = ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out"))]
+    else:
+        argv = ["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                "--sketch-dim", "3", "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert f"{data}/{named}" in capsys.readouterr().err
 
 
 def test_run_with_inline_dataset(tmp_path):
@@ -331,6 +394,8 @@ INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim":
     (["run", {"solver": {"q_size": 10}, "dataset": {**INLINE, "reference_density": 3.0}}],
      "'reference_density'"),
     (["run", {"solver": {"q_size": 10, "step_clamp": 5}}], "'step_clamp'"),
+    (["run", {"solver": {"q_size": 10, "init": "around_point", "init_index": 5}}],
+     "'init_index'"),
     (["run", {"solver": {"q_size": 10}, "ouptut": "x"}], "'ouptut'"),
     (["run", {"solver": {"q_size": 10}, "out_dir": 5}], "'out_dir'"),
     (["run", "{bad"], "not valid JSON"),
@@ -342,11 +407,12 @@ INLINE = {"kind": "grid_line", "sample_count": 24, "noise": 0.05, "ambient_dim":
     (["reproduce", "noise-sweep", "--override", "sigmas=[0.1]"], "'sigmas'"),
     (["reproduce", "noise-sweep", "--override", "noise=0.3"], "'noise'"),
     (["reproduce", "pca-benchmark", "--override", "sigmas=[0.1]"], "'sigmas'"),
+    (["reproduce", "cylinder2d", "--override", "init_index=408"], "'init_index'"),
 ], ids=["misspelt-key", "removed-key", "dataset-key", "dataset-radius",
         "dataset-gaussian-sigma", "dataset-reference-density", "step-clamp-scalar",
-        "run-key", "out-dir-type", "malformed-json", "override-type", "override-seed",
-        "override-threads", "override-radius", "noise-sweep-sigmas", "noise-sweep-noise",
-        "pca-sigmas"])
+        "init-index", "run-key", "out-dir-type", "malformed-json", "override-type",
+        "override-seed", "override-threads", "override-radius", "noise-sweep-sigmas",
+        "noise-sweep-noise", "pca-sigmas", "override-init-index"])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, argv, named):
     if argv[0] == "run":
         text = argv[1]
@@ -434,13 +500,70 @@ def test_pca_benchmark_subset_size_out_of_range_exits_2(tmp_path, capsys, value)
 SEEDS = st.sampled_from([0, 1, 3, 7, 2**64 - 1, -1, 2**64])
 NOISES = st.sampled_from([0.0, 0.0, 0.05, 0.05, 5.0, -0.1, math.nan, math.inf])
 
+# reproduce --override values per key: (valid, invalid), where the
+# invalid ones give a negative, a bool, a float for an int or a string.
+# Every run overrides sample_count, max_iters and q_size (subset_size for
+# pca-benchmark) with valid values that keep it at desk scale, then up to
+# two drawn keys, these included, with any of their values.
+OVERRIDES = {
+    "sample_count": ([17, 64], [2, -64, True, 64.0, "64"]),
+    "max_iters": ([0, 1, 2], [-1, True, 2.0, "2"]),
+    "q_size": ([1, 2, 12], [-3, False, 12.0, "12"]),
+    "subset_size": ([3, 12], [2, -5, True, 12.0, "12"]),
+    "kind": (["o2", "cylinder6d", "grid_line"], ["ellipse_images", "cube", 3]),
+    "noise": ([0.0, 0.05, 1], [-0.1, True, "0.1"]),
+    "ambient_dim": ([None, 8, 60], [400, 3, -1, True, 8.0, "8"]),
+    "sketch_dim": ([1, 3], [0, -1, True, 3.0, "3", 61]),
+    "init": (["random", "around_point"], ["midair", 1]),
+    "init_index": ([], [0, 30, -1]),
+    "seed": ([], [0, -1]),
+    "threads": ([1, 2], [0, -1, True, 1.0, "1"]),
+}
+RECIPE_KEYS = [f.name for cls in (DatasetSpec, SolverConfig) for f in dataclasses.fields(cls)]
+
+
+def check_reproduce_overrides(tmp, data):
+    """reproduce with drawn --override values returns 0, 2, 3 or 4."""
+    name = data.draw(st.sampled_from(EXPERIMENT_NAMES), "recipe")
+    size = "subset_size" if name == "pca-benchmark" else "q_size"
+    overrides = {key: data.draw(st.sampled_from(OVERRIDES[key][0]), key)
+                 for key in ("sample_count", "max_iters", size)}
+    keys = st.sampled_from(["init_index", "subset_size", *RECIPE_KEYS])
+    for key in data.draw(st.lists(keys, max_size=2, unique=True), "drawn keys"):
+        overrides[key] = data.draw(st.sampled_from(sum(OVERRIDES[key], [])), key)
+    argv = ["reproduce", name, "--out", str(tmp / "reproduce"), "--bootstraps", "1"]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    assert main(argv) in (0, 2, 3, 4)
+
+
+def corrupt_bundle(bundle, data):
+    """Leave the bundle as gen wrote it, or spoil one of its CSV files: keep
+    only its first row, add a column, or make one cell non-finite, not a
+    number or not ASCII."""
+    how = data.draw(st.sampled_from([None] * 6 + ["rows", "column", "cell"]), "corruption")
+    if how is None:
+        return
+    path = data.draw(st.sampled_from(sorted(bundle.glob("*.csv"))), "corrupted file")
+    lines = path.read_text().splitlines()
+    if how == "rows":
+        lines = lines[:1]
+    elif how == "column":
+        lines = [line + ",0" for line in lines]
+    else:
+        cell = data.draw(st.sampled_from(["nan", "-inf", "0#note", "\u00e9"]), "cell")
+        lines[-1] = ",".join([cell, *lines[-1].split(",")[1:]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_edges_exit_with_a_documented_code(tmp_path_factory, data):
-    """gen, run and metrics on drawn edge inputs return 0, 2, 3 or 4 and
-    never raise.  Derandomized, so Tier-1 replays the same draws."""
+    """reproduce --override, gen, and run and metrics on the bundle as
+    written or with one file spoilt, on drawn edge inputs return 0, 2, 3 or
+    4 and never raise.  Derandomized, so Tier-1 replays the same draws."""
     tmp = tmp_path_factory.mktemp("edge")
+    check_reproduce_overrides(tmp, data)
     bundle, out = tmp / "data", tmp / "out"
     kind = data.draw(st.sampled_from(KINDS), "kind")
     count = data.draw(st.sampled_from([1, 2, 3, 5, 8, 17, 40]), "count")
@@ -458,10 +581,10 @@ def test_cli_edges_exit_with_a_documented_code(tmp_path_factory, data):
         "max_iters": data.draw(st.integers(0, 2), "max_iters"),
         "sketch_dim": data.draw(st.sampled_from([1, 3, n, 0, n + 1]), "sketch_dim"),
         "init": data.draw(st.sampled_from(["random", "around_point"]), "init"),
-        "init_index": data.draw(st.sampled_from([0, J // 2, J - 1, -1, J]), "init_index"),
         "threads": data.draw(st.sampled_from([1, 2, 1, 2, 0, -1]), "threads"),
         "seed": data.draw(SEEDS, "run seed"),
     }
+    corrupt_bundle(bundle, data)
     path = tmp / "run.json"
     path.write_text(json.dumps({"dataset_dir": str(bundle), "out_dir": str(out),
                                 "solver": solver}))

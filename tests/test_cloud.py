@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlop.cloud import PointCloud, load_cloud, save_cloud
+from mlop.cloud import PointCloud, load_cloud, save_cloud, write_table
 from mlop.errors import CloudFormatError
 
 
@@ -26,6 +26,35 @@ def test_non_numeric_cell_reports_location(tmp_path):
     path.write_text("1,2\n1,zap\n")
     with pytest.raises(CloudFormatError, match="row 2, column 2"):
         load_cloud(path)
+
+
+@pytest.mark.parametrize("body, where, what", [
+    (b"1,2\n3,4\xc3\xa9\n", "row 2, column 2", r"non-numeric cell '4\\xc3\\xa9'"),
+    (b"1,2\nnan,4\n", "row 2, column 1", "non-finite cell 'nan'"),
+    (b"1,2\n3,-inf\n", "row 2, column 2", "non-finite cell '-inf'"),
+    (b"1,2\n0#note,4\n", "row 2, column 1", "non-numeric cell '0#note'"),
+    (b"1,2\n\n3, \n", "row 2, column 2", "non-numeric cell ' '"),
+], ids=["non-ascii", "nan", "inf", "comment", "blank-cell"])
+def test_bad_cell_names_file_row_and_column(tmp_path, body, where, what):
+    path = tmp_path / "p.csv"
+    path.write_bytes(body)
+    with pytest.raises(CloudFormatError) as err:
+        load_cloud(path)
+    assert str(err.value) == f"{path}: {where}: {what}"
+
+
+def test_defect_not_located_keeps_the_reader_message(tmp_path):
+    # float() takes digit separators, the CSV reader does not
+    path = tmp_path / "p.csv"
+    path.write_text("1,2\n1_0,3\n")
+    with pytest.raises(CloudFormatError, match=f"^{path}: could not convert string '1_0'"):
+        load_cloud(path)
+
+
+def test_line_endings_and_padding_accepted(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"1,2\r\n 3 ,\t4\r\n\n5,6")
+    assert np.array_equal(load_cloud(path).points, [[1, 2], [3, 4], [5, 6]])
 
 
 def test_empty_file_rejected(tmp_path):
@@ -81,3 +110,12 @@ def test_subset_keeps_point_order():
     sub = cloud.subset([2, 0, 2])
     assert np.array_equal(sub.points, [[3.0, 30.0], [1.0, 10.0], [3.0, 30.0]])
     assert not sub.points.flags.writeable
+
+
+def test_write_table(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "x", "n", "ms"],
+                [["a", 0.1, 3, "1.500"], ["b", np.float64(1) / 3, None, "nan"]])
+    assert path.read_bytes() == (b"name,x,n,ms\n"
+                                 b"a,0.10000000000000001,3,1.500\n"
+                                 b"b,0.33333333333333331,None,nan\n")

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlop.cloud import PointCloud
-from mlop.datasets import gen_grid_line
+from mlop.datasets import DatasetSpec, gen_grid_line, make_dataset
 from mlop.errors import CoincidentPointsError, ConfigError, NumericalAbortError
+from mlop.experiments import run_experiment
 from mlop.sketch import SketchMatrix
-from mlop.solver import (RunParams, SolverConfig, bb_steps, cost, init_lambda, run,
-                         write_trace)
+from mlop.solver import RunParams, SolverConfig, bb_steps, cost, init_lambda, run
 from oracles import (attraction_coeff, bb_step, descended_field, eta, eta_abs_deriv,
                      gradient_at, h_eps_norm, median_pull_at, point_cost,
                      repulsion_coeff)
@@ -314,11 +314,14 @@ def test_run_validates_sizes():
 
 
 def test_around_point_init():
-    pts = PointCloud(np.arange(20.0)[:, None] * np.ones(4))
-    cfg = SolverConfig(q_size=3, max_iters=0, seed=0, sketch_dim=4,
-                       init="around_point", init_index=10)
-    res = run(pts, cfg, sketch=SketchMatrix(np.eye(4)))
-    assert set(res.q0_indices.tolist()) == {9, 10, 11}
+    # samples on a line in index order: the q_size nearest to the middle
+    # sample J // 2 are it and its index neighbours
+    for J, q0 in ((20, [9, 10, 11]), (21, [9, 10, 11]), (2, [0, 1])):
+        pts = PointCloud(np.arange(float(J))[:, None] * np.ones(4))
+        cfg = SolverConfig(q_size=len(q0), max_iters=0, seed=0, sketch_dim=4,
+                           init="around_point")
+        res = run(pts, cfg, sketch=SketchMatrix(np.eye(4)))
+        assert res.q0_indices.tolist() == q0
 
 
 def test_iterations_make_no_self_nn_scan(monkeypatch):
@@ -346,22 +349,26 @@ def test_iterations_make_no_self_nn_scan(monkeypatch):
 
 
 def test_trace_csv(tmp_path):
-    line, _ = gen_grid_line(20, 8)
-    res = run(line, SolverConfig(q_size=8, max_iters=4, seed=2, sketch_dim=8), sketch=S8)
-    path = tmp_path / "trace.csv"
-    write_trace(res.trace, path)
-    lines = path.read_text().strip().split("\n")
+    ds = make_dataset(DatasetSpec(kind="grid_line", sample_count=20, ambient_dim=8))
+    _, res = run_experiment(ds, SolverConfig(q_size=8, max_iters=4, seed=2, sketch_dim=8),
+                            out_dir=tmp_path)
+    lines = (tmp_path / "trace.csv").read_text().split("\n")
     assert lines[0] == "iter,max_grad_norm,cost,fill_distance_q,wall_ms"
-    assert len(lines) == 5
+    assert lines[-1] == "" and len(lines) == 6
+    for rec, line in zip(res.trace, lines[1:]):
+        assert line == (f"{rec.iter},{rec.max_grad_norm:.17g},{rec.cost:.17g},"
+                        f"{rec.fill_distance_q:.17g},{rec.wall_ms:.3f}")
 
 
 def test_config_validation_and_roundtrip():
     cfg = SolverConfig(q_size=5, max_iters=7, sketch_dim=3, seed=2, init="around_point",
-                       init_index=4, threads=2)
-    assert sorted(cfg.to_dict()) == ["init", "init_index", "max_iters", "q_size", "seed",
-                                     "sketch_dim", "threads"]
+                       threads=2)
+    assert sorted(cfg.to_dict()) == ["init", "max_iters", "q_size", "seed", "sketch_dim",
+                                     "threads"]
     back = SolverConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    with pytest.raises(ConfigError, match="'init_index'"):
+        SolverConfig.from_dict({**cfg.to_dict(), "init_index": 2})
     for bad in ({"q_size": 0}, {"max_iters": -1}, {"sketch_dim": 0}, {"init": "midair"},
                 {"threads": 0}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ConfigError):
