@@ -93,6 +93,8 @@ def _defect(path) -> str | None:
             return f"row {i} has {len(cells)} columns, expected {width}"
         for j, cell in enumerate(cells, 1):
             try:
+                if "_" in cell:  # float() reads digit separators, loadtxt does not
+                    raise ValueError(cell)
                 finite = math.isfinite(float(cell))
             except ValueError:
                 return f"row {i}, column {j}: non-numeric cell {cell!r}"

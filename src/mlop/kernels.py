@@ -14,6 +14,14 @@ itself runs on more threads).
 
 Scalar coefficients are evaluated from sketched (projected) coordinates;
 force vectors are accumulated in the full ambient dimension.
+
+One chunk function per pair class (Q-P attraction, Q-Q repulsion) builds
+the distance block and its exponentials and roots once, and from them both
+the forces and the energy of that class, so the force kernels also return
+the energy the solver's trace reports.  ``attraction_cost`` and
+``repulsion_cost`` run the same chunk functions without the forces; the
+solver needs them only at the first iteration, whose repulsion pass runs
+before its balance weights exist.
 """
 
 from __future__ import annotations
@@ -75,37 +83,43 @@ def _guard_coincident(d2, i0, delta_min):
         )
 
 
-def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out):
+def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out=None):
+    """Energy sum(H w) of rows i0:i1 and, given ``out``, their forces."""
     d2 = _sq_dists_block(Qs[i0:i1], Ps)
-    alpha = np.exp(-d2 / h1sq) / np.sqrt(d2 + eps)
-    alpha[d2 > cutsq] = 0.0
-    out[i0:i1] = alpha.sum(axis=1)[:, None] * Q[i0:i1] - alpha @ P
+    w = np.exp(-d2 / h1sq)
+    H = np.sqrt(d2 + eps)
+    # a NaN distance stays out of the energy but NaN in the forces, where
+    # the solver's finite-gradient check sees it
+    energy = float((H * w)[d2 <= cutsq].sum())
+    if out is not None:
+        alpha = np.divide(w, H, out=w)
+        alpha[d2 > cutsq] = 0.0
+        out[i0:i1] = alpha.sum(axis=1)[:, None] * Q[i0:i1] - alpha @ P
+    return energy
 
 
-def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn):
+def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None, weights=None):
+    """Given ``out`` and ``nn``, the forces and nearest-partner distances of
+    rows i0:i1; given ``weights``, their energy (None without)."""
     d2 = _self_sq_dists(Qs, i0, i1)
     _guard_coincident(d2, i0, delta_min)
-    nn[i0:i1] = np.sqrt(d2.min(axis=1))
+    far = d2 > cutsq
+    energy = None
     with np.errstate(over="ignore"):
+        g = np.exp(-d2 / h2sq)
         d = np.sqrt(d2)
-        beta = np.exp(-d2 / h2sq) / d * (1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq))
-    beta[d2 > cutsq] = 0.0
-    out[i0:i1] = beta.sum(axis=1)[:, None] * Q[i0:i1] - beta @ Q
-
-
-def _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1):
-    d2 = _sq_dists_block(Qs[i0:i1], Ps)
-    term = np.sqrt(d2 + eps) * np.exp(-d2 / h1sq)
-    return float(term[d2 <= cutsq].sum())
-
-
-def _repulsion_cost_np(Qs, lam, h2sq, cutsq, delta_min, i0, i1):
-    d2 = _self_sq_dists(Qs, i0, i1)
-    _guard_coincident(d2, i0, delta_min)
-    with np.errstate(over="ignore"):
-        eta = np.exp(-d2 / h2sq) / (3.0 * d2 * np.sqrt(d2))
-    eta[d2 > cutsq] = 0.0
-    return float((lam[i0:i1] * eta.sum(axis=1)).sum())
+        if weights is not None:
+            eta = g / (3.0 * d2 * d)
+            eta[far] = 0.0
+            energy = float((weights[i0:i1] * eta.sum(axis=1)).sum())
+            del eta  # no more blocks alive than the force part needs
+        if out is not None:
+            nn[i0:i1] = np.sqrt(d2.min(axis=1))
+            beta = np.divide(g, d, out=g)
+            beta *= 1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq)
+            beta[far] = 0.0
+            out[i0:i1] = beta.sum(axis=1)[:, None] * Q[i0:i1] - beta @ Q
+    return energy
 
 
 def _screen(X, Ys, y2, ymax, keep):
@@ -185,7 +199,10 @@ def _self_nn_dists_np(Xs, i0, i1, out):
 
 
 def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1):
-    """Per reconstruction point, the data-term force sum(alpha_j (q - p_j)).
+    """Per reconstruction point, the data-term force sum(alpha_j (q - p_j)),
+    and from the same distance blocks the attraction energy: returns
+    (forces, energy) with energy equal to ``attraction_cost(Qs, Ps, ...)``
+    bit for bit.
 
     Q, P are full-dimension rows; Qs, Ps their sketched projections.  Pairs
     beyond ``cutoff`` in sketched distance are skipped.  The coefficients
@@ -197,38 +214,48 @@ def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, thread
     """
     out = np.empty_like(Q)
     h1sq, cutsq = h1 * h1, cutoff * cutoff
-    _run_chunks(lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out),
-                Q.shape[0], threads)
-    return out
+    parts = _run_chunks(
+        lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out),
+        Q.shape[0], threads)
+    return out, float(sum(parts))
 
 
-def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1):
+def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1,
+                     weights=None):
     """Per reconstruction point, the spreading-term force sum(beta_i (q - q_i))
-    and, from the same distance block, the nearest-partner distance, equal to
-    ``self_nn_dists(Qs)`` bit for bit: returns (forces, nn_dists).
+    and, from the same distance blocks, the nearest-partner distance, equal to
+    ``self_nn_dists(Qs)`` bit for bit, and the crowding energy with per-point
+    ``weights``, equal to ``repulsion_cost(Qs, weights, ...)`` bit for bit
+    (None without weights): returns (forces, nn_dists, energy).
 
     Raises CoincidentPointsError for the first pair (in row order) closer
     than ``delta_min`` in sketched distance.
     """
     out, nn = np.empty_like(Q), np.empty(Q.shape[0])
     h2sq, cutsq = h2 * h2, cutoff * cutoff
-    _run_chunks(lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn),
-                Q.shape[0], threads)
-    return out, nn
+    parts = _run_chunks(
+        lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn, weights),
+        Q.shape[0], threads)
+    return out, nn, None if weights is None else float(sum(parts))
 
 
 def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1) -> float:
+    """The attraction energy sum_{i,j} sqrt(d^2 + eps) exp(-d^2 / h1^2) over
+    pairs within ``cutoff``, without the forces."""
     h1sq, cutsq = h1 * h1, cutoff * cutoff
-    parts = _run_chunks(lambda i0, i1: _attraction_cost_np(Qs, Ps, h1sq, eps, cutsq, i0, i1),
+    parts = _run_chunks(lambda i0, i1: _attraction_np(None, None, Qs, Ps, h1sq, eps, cutsq,
+                                                      i0, i1),
                         Qs.shape[0], threads)
     return float(sum(parts))
 
 
 def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,
                    threads: int = 1) -> float:
+    """The crowding energy sum_i lam_i sum_{i' != i} exp(-d^2 / h2^2) / (3 d^3)
+    over pairs within ``cutoff``, without the forces."""
     h2sq, cutsq = h2 * h2, cutoff * cutoff
     parts = _run_chunks(
-        lambda i0, i1: _repulsion_cost_np(Qs, lam, h2sq, cutsq, delta_min, i0, i1),
+        lambda i0, i1: _repulsion_np(None, Qs, h2sq, cutsq, delta_min, i0, i1, weights=lam),
         Qs.shape[0], threads)
     return float(sum(parts))
 

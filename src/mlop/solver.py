@@ -18,6 +18,12 @@ would add the factor (1 - 2 H^2 / h1^2), whose sum over a noisy sample is
 negative and so repels the points from the data; the iteration never uses
 that field.  Per-point scalar references of both fields, and of the energy
 ``cost`` reports, are in tests/oracles.py.
+
+The energy each trace record reports comes from the force passes, which
+return it from the same distance blocks: from the second iteration on, an
+iteration builds one Q-P and one Q-Q block.  The first iteration's
+repulsion pass runs before the balance weights exist, so ``cost`` prices
+that iteration alone.
 """
 
 from __future__ import annotations
@@ -126,7 +132,9 @@ def cost(Qs, Ps, rp: RunParams, lam, threads: int = 1) -> float:
     is sum_i (-lam_i) sum_{i' != i} eta(d) w_hat(d) with eta(r) = 1 / (3 r^3).
     With the stored non-positive lam its coefficient is |lam_i|, so the
     energy is bounded toward spreading instead of rewarding collapse.
-    Diagnostic quantity; the descent never line-searches it.
+    Diagnostic quantity; the descent never line-searches it.  ``run`` calls
+    it for the first iteration only; later iterations take the same value,
+    bit for bit, from their force passes.
     """
     e1 = kernels.attraction_cost(Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
     weights = -np.ascontiguousarray(lam, dtype=np.float64)
@@ -238,7 +246,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
 
     Ps = S.project(P)
     threads = config.threads
-    lam = q_prev = grad_prev = None
+    lam = weights = q_prev = grad_prev = None
     trace: list[TraceRecord] = []
     converged = False
     gamma0 = lo = None
@@ -247,20 +255,23 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         t0 = time.perf_counter()
         Qs = Q @ S.s
         try:
-            attr = kernels.attraction_forces(Q, P.points, Qs, Ps, rp.h1, rp.eps, rp.cutoff1,
-                                             threads)
-            rep, nn = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
+            attr, e_att = kernels.attraction_forces(Q, P.points, Qs, Ps, rp.h1, rp.eps,
+                                                    rp.cutoff1, threads)
+            rep, nn, e_rep = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min,
+                                                      threads, weights)
         except CoincidentPointsError as exc:
             raise NumericalAbortError(k, str(exc)) from exc
         if lam is None:
             lam = init_lambda(attr, rep, S)
+            weights = -lam
         grad = attr + lam[:, None] * rep
         if not np.all(np.isfinite(grad)):
             bad = int(np.argwhere(~np.isfinite(grad))[0][0])
             raise NumericalAbortError(k, f"non-finite gradient at point {bad}")
         full_norms = np.sqrt(np.einsum("ij,ij->i", grad, grad))
         gmax = float(np.linalg.norm(grad @ S.s, axis=1).max())
-        cost_val = cost(Qs, Ps, rp, lam, threads=threads)
+        # the first repulsion pass ran before lam existed, so cost() prices it
+        cost_val = cost(Qs, Ps, rp, lam, threads=threads) if e_rep is None else e_att + e_rep
         fill_q = float(np.median(nn)) if I >= 2 else math.nan
         if gmax < grad_tol:
             converged = True

@@ -232,8 +232,8 @@ def descended_field(Q, P, lam, rp: RunParams, S: SketchMatrix, threads: int = 1)
     """All points' descent field from the batch kernels, assembled as
     solver.run assembles it."""
     Qs, Ps = S.project(Q), S.project(P)
-    attr = kernels.attraction_forces(Q, P, Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
-    rep, _ = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
+    attr, _ = kernels.attraction_forces(Q, P, Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
+    rep, _, _ = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
     return attr + np.asarray(lam)[:, None] * rep
 
 

@@ -279,9 +279,9 @@ def test_criterion_8_property_suites():
     S = short.sketch
     rp = RunParams.from_supports(short.supports)
     Q0 = pts.points[short.q0_indices]
-    attr = kernels.attraction_forces(Q0, pts.points, Q0 @ S.s, pts.points @ S.s,
-                                     rp.h1, rp.eps, rp.cutoff1)
-    rep, _ = kernels.repulsion_forces(Q0, Q0 @ S.s, rp.h2, rp.cutoff2, rp.delta_min)
+    attr, _ = kernels.attraction_forces(Q0, pts.points, Q0 @ S.s, pts.points @ S.s,
+                                        rp.h1, rp.eps, rp.cutoff1)
+    rep, _, _ = kernels.repulsion_forces(Q0, Q0 @ S.s, rp.h2, rp.cutoff2, rp.delta_min)
     an = np.linalg.norm(attr @ S.s, axis=1)
     rn = np.linalg.norm(rep @ S.s, axis=1)
     nz = rn > 0

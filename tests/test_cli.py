@@ -270,8 +270,9 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert (tmp_path / "rooted" / "cylinder2d" / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("body", [b"0,1\n1,\xe9\n", b"0,1\n1,nan\n", b"0,1\n1,0#note\n"],
-                         ids=["non-ascii", "non-finite", "comment"])
+@pytest.mark.parametrize("body", [b"0,1\n1,\xe9\n", b"0,1\n1,nan\n", b"0,1\n1,0#note\n",
+                                  b"0,1\n1,1_0\n"],
+                         ids=["non-ascii", "non-finite", "comment", "digit-separator"])
 def test_bad_csv_cell_exits_4_naming_the_file(tmp_path, capsys, body):
     data = tmp_path / "data"
     main(gen_args(data))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlop import cloud
 from mlop.cloud import PointCloud, load_cloud, save_cloud, write_table
 from mlop.errors import CloudFormatError
 
@@ -34,7 +35,8 @@ def test_non_numeric_cell_reports_location(tmp_path):
     (b"1,2\n3,-inf\n", "row 2, column 2", "non-finite cell '-inf'"),
     (b"1,2\n0#note,4\n", "row 2, column 1", "non-numeric cell '0#note'"),
     (b"1,2\n\n3, \n", "row 2, column 2", "non-numeric cell ' '"),
-], ids=["non-ascii", "nan", "inf", "comment", "blank-cell"])
+    (b"1,2\n1_0,3\n", "row 2, column 1", "non-numeric cell '1_0'"),
+], ids=["non-ascii", "nan", "inf", "comment", "blank-cell", "digit-separator"])
 def test_bad_cell_names_file_row_and_column(tmp_path, body, where, what):
     path = tmp_path / "p.csv"
     path.write_bytes(body)
@@ -43,11 +45,13 @@ def test_bad_cell_names_file_row_and_column(tmp_path, body, where, what):
     assert str(err.value) == f"{path}: {where}: {what}"
 
 
-def test_defect_not_located_keeps_the_reader_message(tmp_path):
-    # float() takes digit separators, the CSV reader does not
+def test_defect_not_located_keeps_the_reader_message(tmp_path, monkeypatch):
+    # no file is known that the reader rejects and _defect cannot place, so
+    # the locator is stubbed to find nothing
+    monkeypatch.setattr(cloud, "_defect", lambda path: None)
     path = tmp_path / "p.csv"
-    path.write_text("1,2\n1_0,3\n")
-    with pytest.raises(CloudFormatError, match=f"^{path}: could not convert string '1_0'"):
+    path.write_text("1,2\n1,zap\n")
+    with pytest.raises(CloudFormatError, match=f"^{path}: could not convert string 'zap'"):
         load_cloud(path)
 
 

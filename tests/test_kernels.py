@@ -15,13 +15,13 @@ def instance(seed=0, I=50, J=120, n=20, m=6):
 
 def test_thread_count_bitwise_invariance():
     Q, P, Qs, Ps = instance(4, I=200)
-    outs = [kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 0.1, 2.0, threads=t)
+    outs = [kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 0.1, 2.0, threads=t)[0]
             for t in (1, 2, 4)]
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
     reps = [kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads=t)
             for t in (1, 2, 4)]
-    for forces, nn in reps[1:]:
+    for forces, nn, _ in reps[1:]:
         assert np.array_equal(reps[0][0], forces)
         assert np.array_equal(reps[0][1], nn)
 
@@ -31,8 +31,22 @@ def test_thread_count_bitwise_invariance():
 def test_repulsion_nn_dists_are_the_self_nn_scan(I, threads):
     # I = 130 spans three chunks; the distances come from the force blocks
     Q, _, Qs, _ = instance(7, I=I)
-    _, nn = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads=threads)
+    _, nn, _ = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads=threads)
     assert np.array_equal(nn, kernels.self_nn_dists(Qs))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_force_passes_price_the_cost_kernels_energy(threads):
+    # I = 130 spans three chunks; the energy comes from the force blocks
+    Q, P, Qs, Ps = instance(8, I=130)
+    w = np.abs(np.random.default_rng(9).normal(size=130))
+    _, e_att = kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 0.1, 2.0, threads=threads)
+    assert e_att == kernels.attraction_cost(Qs, Ps, 1.3, 0.1, 2.0, threads=threads)
+    rep, nn, e_rep = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads, weights=w)
+    assert e_rep == kernels.repulsion_cost(Qs, w, 1.1, 3.0, 1e-12, threads=threads)
+    bare_rep, bare_nn, bare_e = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads)
+    assert bare_e is None
+    assert np.array_equal(bare_rep, rep) and np.array_equal(bare_nn, nn)
 
 
 def test_cutoff_short_circuits():
@@ -40,8 +54,8 @@ def test_cutoff_short_circuits():
     Q = np.zeros((2, 3))
     Q[1] = 100.0
     P = np.vstack([np.eye(3) * 0.1, 100.0 + np.eye(3) * 0.1])
-    out = kernels.attraction_forces(Q, P, Q, P, 1.0, 0.1, cutoff=5.0)
-    near_only = kernels.attraction_forces(Q[:1], P[:3], Q[:1], P[:3], 1.0, 0.1, cutoff=5.0)
+    out, _ = kernels.attraction_forces(Q, P, Q, P, 1.0, 0.1, cutoff=5.0)
+    near_only, _ = kernels.attraction_forces(Q[:1], P[:3], Q[:1], P[:3], 1.0, 0.1, cutoff=5.0)
     assert np.allclose(out[0], near_only[0])
 
 

@@ -153,6 +153,30 @@ def test_median_pull_is_gradient_of_frozen_weight_surrogate():
             assert abs(fd - g[c]) <= 1e-5 * max(abs(g[c]), 1e-3)
 
 
+def test_median_pull_is_half_the_gradient_of_the_erfc_energy():
+    """Independent oracle for the descended field: with lam = 0, identity
+    sketch and no cutoff it is half the gradient of E_att = sum_j F(|q - p_j|^2),
+    F(s) = -h1 sqrt(pi) e^(eps / h1^2) erfc(sqrt(s + eps) / h1), whose
+    derivative F'(s) = e^(-s / h1^2) / sqrt(s + eps) is the coefficient w / H."""
+    P, Q = small_instance(23)
+    h1, eps = OPEN_PARAMS.h1, OPEN_PARAMS.eps
+    scale = -h1 * math.sqrt(math.pi) * math.exp(eps / h1 ** 2)
+
+    def e_att(q):
+        return sum(scale * math.erfc(math.sqrt(float((q - p) @ (q - p)) + eps) / h1)
+                   for p in P)
+
+    step = 1e-5
+    for i in range(Q.shape[0]):
+        g = median_pull_at(i, Q, P, np.zeros(Q.shape[0]), OPEN_PARAMS, S8)
+        for c in range(Q.shape[1]):
+            qp, qm = Q[i].copy(), Q[i].copy()
+            qp[c] += step
+            qm[c] -= step
+            fd = (e_att(qp) - e_att(qm)) / (2 * step)
+            assert abs(fd / 2 - g[c]) <= 1e-8 * np.abs(g).max()
+
+
 # ---------------------------------------------------------------------------
 # balance weights
 # ---------------------------------------------------------------------------
@@ -180,8 +204,8 @@ def test_balance_equality_at_init():
     P, Q = small_instance(14)
     rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=4.0, cutoff2=4.0, delta_min=1e-12)
     from mlop import kernels
-    attr = kernels.attraction_forces(Q, P, Q @ S8.s, P @ S8.s, rp.h1, rp.eps, rp.cutoff1)
-    rep, _ = kernels.repulsion_forces(Q, Q @ S8.s, rp.h2, rp.cutoff2, rp.delta_min)
+    attr, _ = kernels.attraction_forces(Q, P, Q @ S8.s, P @ S8.s, rp.h1, rp.eps, rp.cutoff1)
+    rep, _, _ = kernels.repulsion_forces(Q, Q @ S8.s, rp.h2, rp.cutoff2, rp.delta_min)
     lam = init_lambda(attr, rep, S8)
     an = np.linalg.norm(attr @ S8.s, axis=1)
     rn = np.linalg.norm(rep @ S8.s, axis=1)
@@ -346,6 +370,20 @@ def test_iterations_make_no_self_nn_scan(monkeypatch):
     assert counts[0] == counts[1] > 0
     q0s = pts.points[res.q0_indices] @ res.sketch.s
     assert res.trace[0].fill_distance_q == float(np.median(scan(q0s)))
+
+
+def test_trace_cost_is_the_energy_of_each_iterate():
+    # from iteration 1 on the trace's energy comes from the force passes;
+    # it must equal cost() of the iterate bit for bit
+    pts = PointCloud(np.random.default_rng(24).normal(size=(150, 8)))
+    cfg = SolverConfig(q_size=70, max_iters=4, seed=2, sketch_dim=6, threads=2)
+    res = run(pts, cfg)
+    assert not res.converged and len(res.trace) == 4
+    rp = RunParams.from_supports(res.supports)
+    Ps = res.sketch.project(pts)
+    for k in range(4):
+        Qk = run(pts, dataclasses.replace(cfg, max_iters=k)).q_final.points
+        assert res.trace[k].cost == cost(Qk @ res.sketch.s, Ps, rp, res.lam)
 
 
 def test_trace_csv(tmp_path):

@@ -83,7 +83,9 @@ def main(argv=None) -> int:
         for m in args.metrics:
             entry = {"unit": units.get(m)}
             for side in sides:
-                entry[side] = summary([r["metrics"][m] for r in mine if r["side"] == side])
+                # a traced run reports no end-to-end metric, an untraced one no layer
+                entry[side] = summary([r["metrics"][m] for r in mine
+                                       if r["side"] == side and m in r["metrics"]])
             a, b = entry["parent"].get("median"), entry["change"].get("median")
             entry["change_over_parent"] = b / a if a and b is not None else None
             table[m] = entry
