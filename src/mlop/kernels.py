@@ -1,16 +1,33 @@
 """Hot numeric kernels: attraction/repulsion force sums and distance scans.
 
-Every kernel is vectorized numpy over row chunks.  Distance blocks come from
-exact coordinate differences, except that the scans against another set
-(``nearest_rows``/``min_dists``, ``max_dists``, ``radius_pairs``) screen
-candidates with the GEMM form |x|^2 + |y|^2 - 2 x.y and then measure them by
-exact differences.
+Every kernel is vectorized numpy over row chunks.  Squared distances come
+in three forms, and tol = (m + 2) eps (|x| + max|y|)^2 (``_gemm_tol``) bounds
+the per-entry error of the GEMM form |x|^2 + |y|^2 - 2 x.y in R^m:
+
+- The Q-P block of the attraction (``attraction_forces``/``attraction_cost``)
+  is the GEMM form of the rows centred on the mean of Ps, so |x| and |y| are
+  distances from the data's mean and each entry is off by at most tol.  The
+  coefficients are smooth at d = 0, where H = sqrt(d^2 + eps) keeps eps
+  above any such error, so no entry is remeasured.
+- The Q-Q self block (``repulsion_forces``/``repulsion_cost`` and
+  ``self_nn_dists``) is the GEMM form of the rows centred on their mean,
+  except that exact differences of the uncentred rows remeasure every entry
+  within tol of its row's minimum or of delta_min^2 and every entry below
+  REMEASURE_K tol.  So the ``delta_min`` guard and its first pair in row
+  order, and the nearest-partner distances, are those of explicit
+  differences bit for bit, and every other entry is off by less than
+  1 / REMEASURE_K of itself.
+- The scans against another set (``nearest_rows``/``min_dists``,
+  ``max_dists``, ``radius_pairs``) screen candidates with the uncentred GEMM
+  form and measure them by exact differences, so their results are exact.
+  ``pairwise_dists`` uses exact differences throughout.
 
 Work is split into fixed-size row chunks regardless of thread count, and
 each chunk is a pure function of the iteration-start snapshot, so results
-are bit-identical for any ``threads`` value at a fixed BLAS thread count
-(a BLAS product such as ``alpha @ P`` may sum in a different order when BLAS
-itself runs on more threads).
+are bit-identical for any ``threads`` value at a fixed BLAS thread count.
+A BLAS product, such as a GEMM-form block or ``alpha @ P``, may sum in a
+different order when BLAS itself runs on more threads, so the BLAS thread
+count can move the last bits of coefficients and forces.
 
 Scalar coefficients are evaluated from sketched (projected) coordinates;
 force vectors are accumulated in the full ambient dimension.
@@ -34,6 +51,10 @@ import numpy as np
 from .errors import CoincidentPointsError
 
 CHUNK = 64
+
+# A self-block entry below this many times its GEMM error bound is remeasured
+# by exact differences, so no entry the forces use is off by 1e-8 of itself.
+REMEASURE_K = 1e8
 
 
 def backend_name() -> str:
@@ -64,12 +85,58 @@ def _sq_dists_block(A, B):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _self_sq_dists(Xs, i0, i1):
-    """Squared distances from rows i0:i1 to every row, with the self pair at inf."""
-    d2 = _sq_dists_block(Xs[i0:i1], Xs)
-    rows = np.arange(i0, i1)
-    d2[rows - i0, rows] = np.inf
-    return d2
+def _gemm_tol(m: int, xnorm, ymax):
+    """Per-entry error bound of the GEMM form |x|^2 + |y|^2 - 2 x.y in R^m.
+
+    G = |y|^2 - 2 x.y is off by at most about (m + 1) (eps / 2) (|x| + max|y|)^2
+    per entry (Higham, "Accuracy and Stability of Numerical Algorithms",
+    sec. 3), and |x|^2 by at most m (eps / 2) |x|^2.  The bound
+    (m + 2) eps (|x| + max|y|)^2 covers both, the rounding of their sum and of
+    a threshold compared with it, and, for rows centred before the product,
+    the rounding of the centring (at most eps (|x| + |y|)^2 on a squared
+    distance).
+    """
+    return (m + 2) * np.finfo(np.float64).eps * (xnorm + ymax) ** 2
+
+
+def _centred(Ys, centre):
+    """GEMM operands: the rows Ys - centre, their squared norms and the largest
+    norm.  Distances do not change under translation, but the GEMM error
+    grows with the squared distance of the rows from the origin."""
+    Z = Ys - centre
+    z2 = np.einsum("ij,ij->i", Z, Z)
+    return Z, z2, math.sqrt(z2.max())
+
+
+def _gemm_sq_dists(X, x2, Y, y2):
+    """Squared distances between row blocks in the GEMM form |x|^2 + |y|^2 - 2 x.y."""
+    D = (-2.0 * X) @ Y.T
+    D += y2
+    D += x2[:, None]
+    return D
+
+
+def _self_block(Xs, Z, z2, zmax, dmin2, i0, i1):
+    """Squared distances from rows i0:i1 of Xs to every row, the self pair at inf.
+
+    The block is the GEMM form of the centred rows Z (``_centred(Xs, ...)``),
+    except that exact differences of the rows of Xs remeasure every entry
+    within the bound tol of its row's minimum or of ``dmin2``, and every
+    entry below REMEASURE_K tol.  So each row's minimum and every entry at
+    most dmin2 are the exact-difference values, bit for bit, and every other
+    entry is off by less than 1 / REMEASURE_K of itself.
+    """
+    D = _gemm_sq_dists(Z[i0:i1], z2[i0:i1], Z, z2)
+    rows = np.arange(i1 - i0)
+    D[rows, rows + i0] = np.inf
+    tol = _gemm_tol(Z.shape[1], np.sqrt(z2[i0:i1]), zmax)
+    near = D <= np.maximum(np.maximum(D.min(axis=1), dmin2) + tol, REMEASURE_K * tol)[:, None]
+    near[rows, rows + i0] = False  # a lone point's row minimum is inf
+    flat = np.flatnonzero(near)
+    r, c = np.divmod(flat, D.shape[1])
+    diff = Xs[r + i0] - Xs[c]
+    D.reshape(-1)[flat] = np.einsum("ij,ij->i", diff, diff)
+    return D
 
 
 def _guard_coincident(d2, i0, delta_min):
@@ -83,9 +150,9 @@ def _guard_coincident(d2, i0, delta_min):
         )
 
 
-def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out=None):
+def _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, eps, cutsq, i0, i1, out=None):
     """Energy sum(H w) of rows i0:i1 and, given ``out``, their forces."""
-    d2 = _sq_dists_block(Qs[i0:i1], Ps)
+    d2 = _gemm_sq_dists(Qc[i0:i1], q2[i0:i1], Pc, p2)
     w = np.exp(-d2 / h1sq)
     H = np.sqrt(d2 + eps)
     # a NaN distance stays out of the energy but NaN in the forces, where
@@ -98,10 +165,27 @@ def _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out=None):
     return energy
 
 
-def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None, weights=None):
+def _attraction(Q, P, Qs, Ps, h1, eps, cutoff, threads, out=None):
+    """The attraction energy of all rows and, given ``out``, their forces.
+
+    Both blocks are centred on the mean of Ps, so the GEMM error depends on
+    the spread of the data, not on its distance from the origin.
+    """
+    centre = Ps.mean(axis=0)
+    (Qc, q2, _), (Pc, p2, _) = _centred(Qs, centre), _centred(Ps, centre)
+    h1sq, cutsq = h1 * h1, cutoff * cutoff
+    parts = _run_chunks(
+        lambda i0, i1: _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, eps, cutsq, i0, i1, out),
+        Qs.shape[0], threads)
+    return float(sum(parts))
+
+
+def _repulsion_np(Q, Qs, sq, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None,
+                  weights=None):
     """Given ``out`` and ``nn``, the forces and nearest-partner distances of
-    rows i0:i1; given ``weights``, their energy (None without)."""
-    d2 = _self_sq_dists(Qs, i0, i1)
+    rows i0:i1; given ``weights``, their energy (None without).  ``sq`` is
+    ``_centred(Qs, ...)``."""
+    d2 = _self_block(Qs, *sq, delta_min * delta_min, i0, i1)
     _guard_coincident(d2, i0, delta_min)
     far = d2 > cutsq
     energy = None
@@ -122,24 +206,33 @@ def _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None, weig
     return energy
 
 
+def _repulsion(Q, Qs, h2, cutoff, delta_min, threads, out=None, nn=None, weights=None):
+    """The crowding energy of all rows with ``weights`` (None without) and,
+    given ``out`` and ``nn``, their forces and nearest-partner distances."""
+    sq = _centred(Qs, Qs.mean(axis=0))
+    h2sq, cutsq = h2 * h2, cutoff * cutoff
+    parts = _run_chunks(
+        lambda i0, i1: _repulsion_np(Q, Qs, sq, h2sq, cutsq, delta_min, i0, i1, out, nn,
+                                     weights),
+        Qs.shape[0], threads)
+    return None if weights is None else float(sum(parts))
+
+
 def _screen(X, Ys, y2, ymax, keep):
     """Candidate pairs of the row chunk X against Ys, with exact squared distances.
 
     The expanded form |x|^2 + |y|^2 - 2 x.y keeps memory at chunk x K but
-    cancels near zero, so it only screens: G = |y|^2 - 2 x.y is off by at
-    most about (m + 1) (eps / 2) (|x| + max|y|)^2 per entry (Higham,
-    "Accuracy and Stability of Numerical Algorithms", sec. 3), and |x|^2 by
-    at most m (eps / 2) |x|^2.  ``keep(G, x2, tol)`` marks the candidates
-    with tol = (m + 2) eps (|x| + max|y|)^2, which covers both errors plus
-    the rounding of the threshold, so every pair the exact distances would
-    pick (a row's nearest or farthest column, any pair inside a radius)
-    stays a candidate.  Returns chunk-local rows (ascending), their columns
-    (ascending within a row) and the exact squared distances.
+    cancels near zero, so it only screens: ``keep(G, x2, tol)`` marks the
+    candidates from G = |y|^2 - 2 x.y, the squared norms x2 and the bound tol
+    of ``_gemm_tol``, so every pair the exact distances would pick (a row's
+    nearest or farthest column, any pair inside a radius) stays a candidate.
+    Returns chunk-local rows (ascending), their columns (ascending within a
+    row) and the exact squared distances.
     """
     G = (-2.0 * X) @ Ys.T
     G += y2
     x2 = np.einsum("ij,ij->i", X, X)
-    tol = (X.shape[1] + 2) * np.finfo(np.float64).eps * (np.sqrt(x2) + ymax) ** 2
+    tol = _gemm_tol(X.shape[1], np.sqrt(x2), ymax)
     # flatnonzero is an order of magnitude faster than 2-d nonzero here
     rows, cols = np.divmod(np.flatnonzero(keep(G, x2, tol)), Ys.shape[0])
     diff = X[rows] - Ys[cols]
@@ -189,10 +282,6 @@ def _radius_np(X, Ys, y2, ymax, r2):
     return rows[inside], cols[inside]
 
 
-def _self_nn_dists_np(Xs, i0, i1, out):
-    out[i0:i1] = np.sqrt(_self_sq_dists(Xs, i0, i1).min(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
@@ -213,11 +302,7 @@ def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, thread
     tests/oracles.py holds its per-point scalar reference.
     """
     out = np.empty_like(Q)
-    h1sq, cutsq = h1 * h1, cutoff * cutoff
-    parts = _run_chunks(
-        lambda i0, i1: _attraction_np(Q, P, Qs, Ps, h1sq, eps, cutsq, i0, i1, out),
-        Q.shape[0], threads)
-    return out, float(sum(parts))
+    return out, _attraction(Q, P, Qs, Ps, h1, eps, cutoff, threads, out)
 
 
 def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1,
@@ -232,32 +317,20 @@ def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads:
     than ``delta_min`` in sketched distance.
     """
     out, nn = np.empty_like(Q), np.empty(Q.shape[0])
-    h2sq, cutsq = h2 * h2, cutoff * cutoff
-    parts = _run_chunks(
-        lambda i0, i1: _repulsion_np(Q, Qs, h2sq, cutsq, delta_min, i0, i1, out, nn, weights),
-        Q.shape[0], threads)
-    return out, nn, None if weights is None else float(sum(parts))
+    return out, nn, _repulsion(Q, Qs, h2, cutoff, delta_min, threads, out, nn, weights)
 
 
 def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1) -> float:
     """The attraction energy sum_{i,j} sqrt(d^2 + eps) exp(-d^2 / h1^2) over
     pairs within ``cutoff``, without the forces."""
-    h1sq, cutsq = h1 * h1, cutoff * cutoff
-    parts = _run_chunks(lambda i0, i1: _attraction_np(None, None, Qs, Ps, h1sq, eps, cutsq,
-                                                      i0, i1),
-                        Qs.shape[0], threads)
-    return float(sum(parts))
+    return _attraction(None, None, Qs, Ps, h1, eps, cutoff, threads)
 
 
 def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,
                    threads: int = 1) -> float:
     """The crowding energy sum_i lam_i sum_{i' != i} exp(-d^2 / h2^2) / (3 d^3)
     over pairs within ``cutoff``, without the forces."""
-    h2sq, cutsq = h2 * h2, cutoff * cutoff
-    parts = _run_chunks(
-        lambda i0, i1: _repulsion_np(None, Qs, h2sq, cutsq, delta_min, i0, i1, weights=lam),
-        Qs.shape[0], threads)
-    return float(sum(parts))
+    return _repulsion(None, Qs, h2, cutoff, delta_min, threads, weights=lam)
 
 
 def nearest_rows(Xs, Ys, threads: int = 1):
@@ -299,9 +372,16 @@ def radius_pairs(Xs, Ys, radius: float):
 
 
 def self_nn_dists(Xs):
-    """Per row, the distance to the nearest other row of the same set."""
+    """Per row, the distance to the nearest other row of the same set, from
+    the screened self block of the repulsion pass: the exact-difference
+    value, bit for bit."""
     out = np.empty(Xs.shape[0])
-    _run_chunks(lambda i0, i1: _self_nn_dists_np(Xs, i0, i1, out), Xs.shape[0])
+    sq = _centred(Xs, Xs.mean(axis=0))
+
+    def chunk(i0, i1):
+        out[i0:i1] = np.sqrt(_self_block(Xs, *sq, 0.0, i0, i1).min(axis=1))
+
+    _run_chunks(chunk, Xs.shape[0])
     return out
 
 

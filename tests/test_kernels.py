@@ -73,6 +73,31 @@ def test_coincident_pair_detected():
             kernels.repulsion_cost(Q, np.ones(200), 1.0, 10.0, 1e-9, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_guard_and_nn_are_exact_far_from_the_origin(threads):
+    # the GEMM form's error bound on a squared distance (about 1e-13 on these
+    # rows once centred, 1e-10 at offset 50 without centring) dwarfs
+    # delta_min^2 = 1e-18; the guard and the nearest-partner distances still
+    # come from explicit differences
+    Qs = 50.0 + np.random.default_rng(16).normal(size=(200, 5))
+    Q = np.zeros((200, 3))
+    step = np.array([2e-9, 0.0, 0.0, 0.0, 0.0])
+    apart, same = Qs.copy(), Qs.copy()
+    apart[150] = apart[10] + step
+    apart[180] = apart[100] - step
+    same[150] = same[10]
+    same[30] = same[20]
+    same[180] = same[100]
+    for X in (Qs, apart):
+        D = brute_sq_dists(X, X)
+        np.fill_diagonal(D, np.inf)
+        _, nn, _ = kernels.repulsion_forces(Q, X, 1.0, 10.0, 1e-9, threads=threads)
+        assert np.array_equal(nn, np.sqrt(D.min(axis=1)))
+    assert nn[10] == nn[150] and 1.9e-9 < nn[10] < 2.1e-9
+    with pytest.raises(CoincidentPointsError, match="points 10 and 150 "):
+        kernels.repulsion_forces(Q, same, 1.0, 10.0, 1e-9, threads=threads)
+
+
 def test_min_dists_matches_brute_force():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 6))

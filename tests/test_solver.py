@@ -123,16 +123,18 @@ def test_gradient_matches_finite_differences():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_descended_field_matches_median_pull_oracle(threads):
     # enough points for several kernel chunks, and finite cutoffs that drop
-    # some pairs of each class
+    # some pairs of each class; far from the origin the kernels' GEMM-form
+    # distance blocks must not lose the accuracy of explicit differences
     rng = np.random.default_rng(12)
     P, Q = rng.normal(size=(150, 8)), rng.normal(size=(130, 8))
     S = SketchMatrix(np.linalg.qr(rng.normal(size=(8, 5)))[0])
     lam = -np.abs(np.random.default_rng(13).normal(size=Q.shape[0]))
     rp = RunParams(h1=1.2, h2=1.4, eps=0.1, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
-    field = descended_field(Q, P, lam, rp, S, threads=threads)
-    for i in range(Q.shape[0]):
-        ref = median_pull_at(i, Q, P, lam, rp, S)
-        assert np.allclose(field[i], ref, rtol=1e-10, atol=1e-12)
+    for offset in (0.0, 1e3):
+        field = descended_field(Q + offset, P + offset, lam, rp, S, threads=threads)
+        for i in range(Q.shape[0]):
+            ref = median_pull_at(i, Q + offset, P + offset, lam, rp, S)
+            assert np.allclose(field[i], ref, rtol=1e-10, atol=1e-12), offset
 
 
 def test_median_pull_is_gradient_of_frozen_weight_surrogate():

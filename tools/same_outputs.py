@@ -11,7 +11,12 @@ own ``python -m mlop.cli reproduce`` process with that checkout's ``src`` on
 Every output file is then reported equal or different.  ``trace.csv`` is
 compared without its ``wall_ms`` column and ``report.json`` without its
 ``runtime_ms`` value; for a report that differs, the keys that differ are
-listed with both values.  Exits 0 when every file is equal, 1 otherwise.
+listed with both values.  A CSV of the same shape that differs gets the
+largest absolute and relative difference over its numeric cells and the
+count of cells that differ, and a numeric report value that differs gets
+both differences on its line, so a change that moves bits shows how far.
+The relative difference is |a - b| / max(|a|, |b|).  Exits 0 when every
+file is equal, 1 otherwise.
 """
 
 import argparse
@@ -39,10 +44,48 @@ def run_recipe(root: Path, recipe: str, out: Path) -> str | None:
     return None
 
 
-def trace_without_wall(path: Path) -> list[list[str]]:
+def csv_cells(path: Path) -> list[list[str]]:
     rows = [line.split(",") for line in path.read_text().splitlines()]
-    col = rows[0].index("wall_ms")
-    return [row[:col] + row[col + 1:] for row in rows]
+    if path.name == "trace.csv":
+        col = rows[0].index("wall_ms")
+        rows = [row[:col] + row[col + 1:] for row in rows]
+    return rows
+
+
+def as_number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def distance(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference of two numbers."""
+    if a == b:
+        return 0.0, 0.0
+    gap = abs(a - b)
+    return gap, gap / max(abs(a), abs(b))
+
+
+def csv_differences(a: Path, b: Path) -> list[str] | None:
+    """None when the tables are equal, else how far apart they are."""
+    ra, rb = csv_cells(a), csv_cells(b)
+    if ra == rb:
+        return None
+    if [len(row) for row in ra] != [len(row) for row in rb]:
+        return [f"shape: {len(ra)} rows -> {len(rb)} rows, or a row of another length"]
+    cells = [(x, y) for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b) if x != y]
+    numeric = [(as_number(x), as_number(y)) for x, y in cells]
+    gaps = [distance(x, y) for x, y in numeric if x is not None and y is not None]
+    lines = [f"{len(cells)} cells differ"]
+    if gaps:
+        lines.append(f"largest absolute difference {max(g for g, _ in gaps):.3e}, "
+                     f"largest relative difference {max(r for _, r in gaps):.3e}")
+    if len(gaps) < len(cells):
+        lines.append(f"{len(cells) - len(gaps)} of them not numeric on both sides")
+    return lines
 
 
 def flatten(d: dict, prefix: str = "") -> dict:
@@ -58,15 +101,24 @@ def flatten(d: dict, prefix: str = "") -> dict:
 def report_differences(a: Path, b: Path) -> list[str]:
     """"key: parent -> change" for every report key but runtime_ms that differs."""
     fa, fb = (flatten(json.loads(p.read_text())) for p in (a, b))
-    return [f"{k}: {fa.get(k, ABSENT)} -> {fb.get(k, ABSENT)}"
-            for k in sorted(fa.keys() | fb.keys())
-            if k != "runtime_ms" and fa.get(k, ABSENT) != fb.get(k, ABSENT)]
+    lines = []
+    for k in sorted(fa.keys() | fb.keys()):
+        va, vb = fa.get(k, ABSENT), fb.get(k, ABSENT)
+        if k == "runtime_ms" or va == vb:
+            continue
+        line = f"{k}: {va} -> {vb}"
+        na, nb = as_number(va), as_number(vb)
+        if na is not None and nb is not None:
+            gap, rel = distance(na, nb)
+            line += f" (absolute {gap:.3e}, relative {rel:.3e})"
+        lines.append(line)
+    return lines
 
 
 def compare(a: Path, b: Path) -> list[str] | None:
     """None when the files are equal, else the details of the difference."""
-    if a.name == "trace.csv":
-        return None if trace_without_wall(a) == trace_without_wall(b) else []
+    if a.suffix == ".csv":
+        return csv_differences(a, b)
     if a.name == "report.json":
         return report_differences(a, b) or None
     return None if a.read_bytes() == b.read_bytes() else []
