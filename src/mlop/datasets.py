@@ -7,7 +7,9 @@ axis.  Generators are deterministic given their spec seed.
 
 A dataset bundle on disk is the directory ``write_dataset`` fills and
 ``load_dataset_dir`` reads: P.csv, reference.csv, spec.json, plus masks.csv
-and reference_masks.csv for image sets.
+for image sets.  The masks mark the background (zero) pixels of the clean
+images behind the noisy P.csv.  A reference image is a clean binary raster,
+so its background is read from reference.csv itself.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ class Dataset:
     reference: PointCloud
     clean: PointCloud | None = None
     masks: np.ndarray | None = None
-    reference_masks: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,6 @@ def _axis_counts(target: int, axes: int) -> list[int]:
     Two axes get an exact factorization when one exists near square; more
     axes use round-robin increments from the d-th root.
     """
-    if axes == 1:
-        return [target]
     if axes == 2:
         best = None
         for a in range(1, int(math.isqrt(target)) + 2):
@@ -288,18 +287,15 @@ def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60):
             PointCloud(_cylinder6d_embed(ref_params, n)))
 
 
-def _ellipse_images(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Binary 20x20 ellipse rasters (pixel-centre test) and background masks."""
-    side = IMAGE_SIDE
-    c = (side - 1) / 2.0
-    rows, cols = np.mgrid[0:side, 0:side]
-    imgs = np.empty((radii.shape[0], side * side))
-    masks = np.empty((radii.shape[0], side * side), dtype=bool)
-    for k, (a, b) in enumerate(radii):
-        inside = ((cols - c) / a) ** 2 + ((rows - c) / b) ** 2 <= 1.0
-        imgs[k] = inside.ravel().astype(np.float64)
-        masks[k] = ~inside.ravel()
-    return imgs, masks
+def _ellipse_images(radii: np.ndarray) -> np.ndarray:
+    """Binary 20x20 ellipse rasters, flattened row-major: a pixel is 1 when
+    its centre passes ((col - c) / a)^2 + ((row - c) / b)^2 <= 1, with c the
+    image centre and (a, b) the row of radii."""
+    offsets = np.arange(IMAGE_SIDE) - (IMAGE_SIDE - 1) / 2.0
+    across = (offsets / radii[:, :1]) ** 2
+    down = (offsets / radii[:, 1:]) ** 2
+    inside = across[:, None, :] + down[:, :, None] <= 1.0
+    return inside.reshape(radii.shape[0], -1).astype(np.float64)
 
 
 def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
@@ -311,19 +307,19 @@ def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
 
 def gen_ellipse_images(J: int):
     """Centered axis-aligned ellipses with radii on a uniform grid, flattened
-    to R^400.  Returns (clean cloud, background masks, reference cloud,
-    reference masks).  ``make_dataset`` adds the spec's noise as per-pixel
-    Gaussian noise of that sigma (``add_image_noise``)."""
+    to R^400.  Returns (clean cloud, background masks, reference cloud); the
+    masks mark the zero pixels of the clean images.  ``make_dataset`` adds
+    the spec's noise as per-pixel Gaussian noise of that sigma
+    (``add_image_noise``)."""
     grid = _ellipse_radii_grid(ELLIPSE_GRID)
     if J > grid.shape[0]:
         raise ConfigError(f"at most {grid.shape[0]} ellipse samples available")
     take = (np.arange(J) * grid.shape[0]) // J
     radii = grid[take]
-    imgs, masks = _ellipse_images(radii)
+    imgs = _ellipse_images(radii)
     ref_per_axis = int(math.ceil(ELLIPSE_GRID * REF_DENSITY["ellipse_images"]))
-    ref_radii = _ellipse_radii_grid(ref_per_axis)
-    ref_imgs, ref_masks = _ellipse_images(ref_radii)
-    return PointCloud(imgs), masks, PointCloud(ref_imgs), ref_masks
+    ref_imgs = _ellipse_images(_ellipse_radii_grid(ref_per_axis))
+    return PointCloud(imgs), imgs == 0.0, PointCloud(ref_imgs)
 
 
 def gen_grid_line(J: int, n: int):
@@ -362,7 +358,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     other kind; noise 0 leaves the samples on the structure.
     """
     root = Rng(spec.seed)
-    masks = ref_masks = None
+    masks = None
     if spec.kind == "o2":
         clean, reference = gen_o2(spec.sample_count, root.stream("mixing"), n=spec.ambient_dim)
     elif spec.kind == "cone_segment":
@@ -374,7 +370,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
             spec.sample_count, root.stream("structure"), root.stream("reference"),
             n=spec.ambient_dim)
     elif spec.kind == "ellipse_images":
-        clean, masks, reference, ref_masks = gen_ellipse_images(spec.sample_count)
+        clean, masks, reference = gen_ellipse_images(spec.sample_count)
     elif spec.kind == "grid_line":
         clean, reference = gen_grid_line(spec.sample_count, spec.ambient_dim)
     else:  # pragma: no cover - spec validation rejects this earlier
@@ -382,8 +378,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
     add_noise = add_image_noise if spec.kind == "ellipse_images" else add_uniform_noise
     noisy = add_noise(clean, spec.noise, root.stream("noise"))
-    return Dataset(spec=spec, points=noisy, clean=clean, reference=reference,
-                   masks=masks, reference_masks=ref_masks)
+    return Dataset(spec=spec, points=noisy, clean=clean, reference=reference, masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +394,6 @@ def write_dataset(ds: Dataset, out_dir) -> None:
     save_cloud(ds.reference, out / "reference.csv")
     if ds.masks is not None:
         write_matrix(ds.masks.astype(np.float64), out / "masks.csv")
-        write_matrix(ds.reference_masks.astype(np.float64), out / "reference_masks.csv")
     with open(out / "spec.json", "w", encoding="ascii") as fh:
         json.dump(ds.spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -409,8 +403,10 @@ def load_dataset_dir(path) -> Dataset:
     """Re-assemble a dataset bundle written by ``write_dataset``.
 
     A P.csv of one point, a reference in another dimension than P.csv or
-    with no extent to normalize errors by, and a mask table of another shape
-    than its cloud raise CloudFormatError naming the file.
+    with no extent to normalize errors by, a masks.csv of another shape than
+    P.csv, and an image set's reference.csv that is not binary raise
+    CloudFormatError naming the file.  A reference_masks.csv left by an
+    earlier layout is not read.
     """
     d = Path(path)
     spec = DatasetSpec.from_json(d / "spec.json")
@@ -424,18 +420,14 @@ def load_dataset_dir(path) -> Dataset:
     if not np.ptp(reference.points, axis=0).any():
         raise CloudFormatError(f"{d / 'reference.csv'}: all points coincide, so the "
                                "reference has no diameter")
-    masks = ref_masks = None
+    masks = None
     if (d / "masks.csv").exists():
-        masks = _load_masks(d / "masks.csv", points, "P.csv")
-        ref_masks = _load_masks(d / "reference_masks.csv", reference, "reference.csv")
-    return Dataset(spec=spec, points=points, reference=reference,
-                   masks=masks, reference_masks=ref_masks)
-
-
-def _load_masks(path: Path, cloud: PointCloud, cloud_file: str) -> np.ndarray:
-    """Boolean masks from path, which must have the shape of cloud."""
-    masks = load_cloud(path).points
-    if masks.shape != cloud.points.shape:
-        raise CloudFormatError(f"{path}: shape {masks.shape}, {cloud_file} has "
-                               f"{cloud.points.shape}")
-    return masks.astype(bool)
+        masks = load_cloud(d / "masks.csv").points
+        if masks.shape != points.points.shape:
+            raise CloudFormatError(f"{d / 'masks.csv'}: shape {masks.shape}, P.csv has "
+                                   f"{points.points.shape}")
+        masks = masks.astype(bool)
+        if not np.isin(reference.points, (0.0, 1.0)).all():
+            raise CloudFormatError(f"{d / 'reference.csv'}: pixels other than 0 and 1, but "
+                                   "an image set's reference backgrounds are its zero pixels")
+    return Dataset(spec=spec, points=points, reference=reference, masks=masks)

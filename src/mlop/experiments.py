@@ -116,8 +116,7 @@ def score_cloud(cloud: PointCloud, ds: Dataset, S: SketchMatrix, diameter: float
     snr = None
     if ds.masks is not None:
         if masks is None:
-            masks = nearest_reference_masks(cloud, ds.reference, ds.reference_masks, S,
-                                            threads=threads)
+            masks = nearest_reference_masks(cloud, ds.reference, S, threads=threads)
         snr = background_snr(cloud, erode_background(masks))
     rel = relative_error(cloud, ds.reference, S, errors=err, diameter=diameter)
     fill = fill_distance(cloud, S) if cloud.size >= 2 else None
@@ -162,23 +161,22 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
 
 
 def run_experiment(ds: Dataset, config: SolverConfig,
-                   out_dir=None) -> tuple[ExperimentReport, SolverResult]:
-    """Run the solver on a dataset and score it; optionally write artifacts."""
+                   out_dir) -> tuple[ExperimentReport, SolverResult]:
+    """Run the solver on a dataset, score it and write the run's files to out_dir."""
     t0 = time.perf_counter()
     result = solver_mod.run(ds.points, config)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     report, err1 = score_run(ds, result, config, runtime_ms)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_cloud(result.q_final, out / "Q_final.csv")
-        write_table(out / "trace.csv", [f.name for f in fields(TraceRecord)],
-                    [[*astuple(rec)[:-1], format(rec.wall_ms, ".3f")]
-                     for rec in result.trace])
-        save_sketch(result.sketch, out / "sketch.csv")
-        report.save(out / "report.json")
-        # per-point nearest-reference distances, plot-ready
-        write_matrix(err1.dists[:, None], out / "errors.csv")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_cloud(result.q_final, out / "Q_final.csv")
+    write_table(out / "trace.csv", [f.name for f in fields(TraceRecord)],
+                [[*astuple(rec)[:-1], format(rec.wall_ms, ".3f")]
+                 for rec in result.trace])
+    save_sketch(result.sketch, out / "sketch.csv")
+    report.save(out / "report.json")
+    # per-point nearest-reference distances, plot-ready
+    write_matrix(err1.dists[:, None], out / "errors.csv")
     return report, result
 
 

@@ -89,12 +89,17 @@ def relative_error(Q, reference, S: SketchMatrix, *,
     return float(np.mean(errors.dists) / diam)
 
 
-def nearest_reference_masks(images, reference, reference_masks,
-                            S: SketchMatrix, threads: int = 1) -> np.ndarray:
+def nearest_reference_masks(images, reference, S: SketchMatrix,
+                            threads: int = 1) -> np.ndarray:
     """Per evaluated image, the background mask of its nearest reference
-    image in sketched distance (the first one on ties)."""
-    _, idx = kernels.nearest_rows(S.project(images), S.project(reference), threads=threads)
-    return np.asarray(reference_masks)[idx]
+    image in sketched distance (the first one on ties).
+
+    Reference images are clean binary rasters, so a background pixel is a
+    zero pixel of the reference image.
+    """
+    ref = as_points(reference)
+    _, idx = kernels.nearest_rows(S.project(images), S.project(ref), threads=threads)
+    return ref[idx] == 0.0
 
 
 def background_snr(images, masks) -> float | None:
@@ -193,15 +198,17 @@ def _radius_neighbours(queries, points, h: float, own) -> list:
     return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+# Fewest neighbours, besides the point itself, that a local tangent is
+# estimated from.
+PCA_MIN_NEIGHBORS = 2
+
+
 @dataclass(frozen=True)
 class PcaAngleResult:
     median_deg: float
-    per_point: np.ndarray
-    skipped: int
 
 
-def local_pca_angle_error(X, reference, h: float, S: SketchMatrix,
-                          min_neighbors: int = 2) -> PcaAngleResult:
+def local_pca_angle_error(X, reference, h: float, S: SketchMatrix) -> PcaAngleResult:
     """Median angle (degrees) between local tangent directions of X and of
     the clean reference.
 
@@ -210,8 +217,8 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix,
     eigenvector of the neighbour set in full dimension, do the same around
     the nearest reference point (the first one on ties) on the reference
     set, and score arccos(|cos angle|), which is invariant to eigenvector
-    sign.  Points with fewer than min_neighbors neighbours, on either side,
-    are skipped and counted.
+    sign.  Points with fewer than PCA_MIN_NEIGHBORS neighbours, on either
+    side, are skipped, and their count is logged.
 
     Neighbours and nearest reference points come from screened scans
     measured by exact differences (kernels.radius_pairs, nearest_rows).  A
@@ -225,29 +232,22 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix,
     n = xs.shape[0]
     _, nearest_ref = kernels.nearest_rows(xs, rs)
     x_nbrs = _radius_neighbours(xs, xs, h, np.arange(n))
-    evaluated = [i for i in range(n) if x_nbrs[i].size >= min_neighbors]
+    evaluated = [i for i in range(n) if x_nbrs[i].size >= PCA_MIN_NEIGHBORS]
     v_xs = principal_directions(xs_full[x_nbrs[i]] for i in evaluated)
     refs = np.unique(nearest_ref[evaluated])
     r_nbrs = _radius_neighbours(rs[refs], rs, h, refs)
-    kept = [k for k in range(refs.size) if r_nbrs[k].size >= min_neighbors]
+    kept = [k for k in range(refs.size) if r_nbrs[k].size >= PCA_MIN_NEIGHBORS]
     v_refs = principal_directions(ref_full[r_nbrs[k]] for k in kept)
     tangent = {int(refs[k]): v for k, v in zip(kept, v_refs)}
     errors = []
-    skipped = n - len(evaluated)
-    per_point = np.full(n, np.nan)
     for i, v_x in zip(evaluated, v_xs):
         v_r = tangent.get(int(nearest_ref[i]))
-        if v_r is None:
-            skipped += 1
-            continue
-        cosang = min(1.0, abs(float(np.dot(v_x, v_r))))
-        deg = math.degrees(math.acos(cosang))
-        per_point[i] = deg
-        errors.append(deg)
+        if v_r is not None:
+            cosang = min(1.0, abs(float(np.dot(v_x, v_r))))
+            errors.append(math.degrees(math.acos(cosang)))
     if not errors:
         raise ValueError("every point was skipped; increase the radius h")
-    if skipped:
-        logger.info("local PCA skipped %d points with < %d neighbours", skipped,
-                    min_neighbors)
-    return PcaAngleResult(median_deg=float(np.median(errors)), per_point=per_point,
-                          skipped=skipped)
+    if len(errors) < n:
+        logger.info("local PCA skipped %d points with < %d neighbours", n - len(errors),
+                    PCA_MIN_NEIGHBORS)
+    return PcaAngleResult(median_deg=float(np.median(errors)))

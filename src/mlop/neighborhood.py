@@ -100,9 +100,13 @@ def guarantee_radius(P, Q, h0: float, nu: int, S: SketchMatrix) -> tuple[float, 
     """
     if nu < 1:
         raise ConfigError("nu must be at least 1")
+    return _grid_radius(h0, float(_quota_radii(P, Q, nu, S).max()))
+
+
+def _grid_radius(h0: float, needed: float) -> tuple[float, float]:
+    """(c, c * h0) for the smallest grid multiplier c with c * h0 >= needed."""
     if h0 <= 0:
         raise ConfigError("h0 must be positive")
-    needed = float(_quota_radii(P, Q, nu, S).max())
     k = 0
     while True:
         c = C_GROWTH ** k
@@ -122,7 +126,10 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams
     h1 comes from the quota radius of the actual reconstruction seed q0
     against the data.  The eventual reconstruction is expected to be
     quasi-uniform, which the seed is not, so h2 is instead computed from a
-    fresh uniform subsample standing in for both sets.
+    fresh uniform subsample standing in for both sets.  One nearest-neighbour
+    scan of that subsample gives both of h2's inputs: the median is its fill
+    distance and the largest is its quota radius at nu = 1 (a point is not
+    its own neighbour).
 
     Args:
         P: data cloud (J points).
@@ -143,8 +150,8 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams
     rand_idx = rng.subsample(J, I)
     qr = pts[rand_idx]
     if I >= 2:
-        h0_rand = fill_distance(qr, S)
-        _, h2 = guarantee_radius(qr, qr, h0_rand, 1, S)
+        nn = kernels.self_nn_dists(S.project(qr))
+        _, h2 = _grid_radius(float(np.median(nn)), float(nn.max()))
     else:
         h2 = h1
     return SupportParams(h0=h0, nu=nu, c1=c1, h_hat0=h1, h1=h1, h2=h2)

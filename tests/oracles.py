@@ -26,13 +26,13 @@ bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from mlop import kernels
 from mlop.cloud import as_points
 from mlop.errors import CoincidentPointsError, UnreachableSupportError
-from mlop.metrics import PcaAngleResult
 from mlop.sketch import SketchMatrix
 from mlop.solver import ETA_GUARD, RunParams
 
@@ -287,7 +287,17 @@ def principal_direction(points) -> np.ndarray:
     return v
 
 
-def local_pca_angle_error(X, reference, h, S, min_neighbors=2) -> PcaAngleResult:
+@dataclass(frozen=True)
+class PcaAngles:
+    """The median angle with each point's angle (nan where skipped) and the
+    skip count."""
+
+    median_deg: float
+    per_point: np.ndarray
+    skipped: int
+
+
+def local_pca_angle_error(X, reference, h, S, min_neighbors=2) -> PcaAngles:
     """One point at a time: both neighbourhoods rescanned, both tangents
     recomputed, for every point."""
     xs_full = as_points(X)
@@ -320,5 +330,5 @@ def local_pca_angle_error(X, reference, h, S, min_neighbors=2) -> PcaAngleResult
         errors.append(deg)
     if not errors:
         raise ValueError("every point was skipped; increase the radius h")
-    return PcaAngleResult(median_deg=float(np.median(errors)), per_point=per_point,
-                          skipped=skipped)
+    return PcaAngles(median_deg=float(np.median(errors)), per_point=per_point,
+                     skipped=skipped)

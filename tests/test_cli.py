@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlop.cli import main
-from mlop.cloud import load_cloud
+from mlop.cloud import load_cloud, write_matrix
 from mlop.datasets import KINDS, DatasetSpec
 from mlop.experiments import EXPERIMENT_NAMES
 from mlop.solver import SolverConfig
@@ -47,7 +47,7 @@ def test_gen_images_write_masks(tmp_path):
     out = tmp_path / "img"
     assert main(gen_args(out, kind="ellipse_images", count=36)) == 0
     assert (out / "masks.csv").exists()
-    assert (out / "reference_masks.csv").exists()
+    assert not (out / "reference_masks.csv").exists()
 
 
 def test_gen_unknown_kind_usage_error(tmp_path):
@@ -119,6 +119,27 @@ def test_run_and_rescore_images(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
     assert rescore_matches_report(tmp_path, data, out)["snr_final"] is not None
+
+
+# snr_final of the images run below, as the layout that stored reference
+# masks scored it
+PINNED_SNR_FINAL = float.fromhex("0x1.4dd515d8a6e79p-1")
+
+
+def test_bundle_with_stored_reference_masks_scores_the_same(tmp_path):
+    """A bundle from the layout that also wrote reference_masks.csv still
+    loads, its run and rescore give that layout's snr_final bit for bit,
+    and the stale file is not read: spoilt, it changes nothing."""
+    data = tmp_path / "data"
+    assert main(gen_args(data, kind="ellipse_images", count=30)) == 0
+    reference = load_cloud(data / "reference.csv").points
+    write_matrix((reference == 0.0).astype(np.float64), data / "reference_masks.csv")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
+    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == PINNED_SNR_FINAL
+    stale = data / "reference_masks.csv"
+    stale.write_text("".join(stale.read_text().splitlines(keepends=True)[:5]))
+    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == PINNED_SNR_FINAL
 
 
 def test_metrics_fresh_sketch_is_the_runs_sketch(tmp_path, caplog):
@@ -289,17 +310,20 @@ def test_bad_csv_cell_exits_4_naming_the_file(tmp_path, capsys, body):
     ("reference", "reference.csv: 9 columns, P.csv has 8"),
     ("coincident", "reference.csv: all points coincide"),
     ("masks", "masks.csv: shape (5, 400), P.csv has (20, 400)"),
-    ("reference_masks", "reference_masks.csv: shape (5, 400), reference.csv has"),
+    ("binary", "reference.csv: pixels other than 0 and 1"),
 ], ids=["one-point", "reference-columns", "coincident-reference", "masks",
-        "reference-masks"])
+        "reference-not-binary"])
 @pytest.mark.parametrize("command", ["run", "metrics"])
 def test_bad_bundle_file_exits_4(tmp_path, capsys, defect, named, command):
     data = tmp_path / "data"
-    if "masks" in defect:
+    if defect in ("masks", "binary"):
         main(gen_args(data, kind="ellipse_images", count=20))
     else:
         main(gen_args(data))
-    if defect == "reference":
+    if defect == "binary":  # the background of every reference image lifted off 0
+        text = (data / "reference.csv").read_text()
+        (data / "reference.csv").write_text(text.replace("0,", "0.01,"))
+    elif defect == "reference":
         main(gen_args(tmp_path / "data9", extra=("--ambient-dim", "9")))
         (data / "reference.csv").write_bytes((tmp_path / "data9" / "reference.csv").read_bytes())
     elif defect == "coincident":

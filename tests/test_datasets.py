@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mlop.datasets import (KINDS, DatasetSpec, _axis_counts, _cone_embed,
-                           _cylinder2d_embed, _cylinder6d_embed, add_image_noise,
-                           add_uniform_noise, gen_ellipse_images, gen_grid_line,
-                           gen_o2, make_dataset, random_orthogonal, sphere5_coords)
+from mlop.datasets import (IMAGE_SIDE, KINDS, DatasetSpec, _axis_counts, _cone_embed,
+                           _cylinder2d_embed, _cylinder6d_embed, _ellipse_radii_grid,
+                           add_image_noise, add_uniform_noise, gen_ellipse_images,
+                           gen_grid_line, gen_o2, make_dataset, random_orthogonal,
+                           sphere5_coords)
 from mlop.errors import ConfigError
 from mlop.neighborhood import fill_distance
 from mlop.rng import Rng
@@ -134,15 +135,28 @@ def test_cylinder6d_draws_from_the_root_streams():
 
 
 def test_ellipse_images_binary_with_masks():
-    clean, masks, ref, ref_masks = gen_ellipse_images(900)
+    clean, masks, ref = gen_ellipse_images(900)
     assert clean.points.shape == (900, 400)
     assert set(np.unique(clean.points)) <= {0.0, 1.0}
     # masks mark exactly the zero pixels
     assert np.array_equal(masks, clean.points == 0.0)
-    assert ref.size == 3600 and ref_masks.shape == (3600, 400)
+    # the reference is binary too, so its zero pixels are its background
+    assert ref.points.shape == (3600, 400)
+    assert set(np.unique(ref.points)) <= {0.0, 1.0}
     # the largest ellipse still leaves background
     biggest = int(np.argmax(clean.points.sum(axis=1)))
     assert masks[biggest].sum() > 0
+    # pinned bytes of both raster sets, and the pixel-centre test one image
+    # at a time: the batched rasterization must not move a pixel
+    assert (hashlib.sha256(clean.points.tobytes()).hexdigest()
+            == "e73fdaccf330b9a7e335da5d0671c69014263a729eff51056eb927c90ecd3b6a")
+    assert (hashlib.sha256(ref.points.tobytes()).hexdigest()
+            == "0626da9c0b9f23286427b8d810a4e03b77f9bb620072ed168e842d6876fecb70")
+    c = (IMAGE_SIDE - 1) / 2.0
+    rows, cols = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
+    for k, (a, b) in enumerate(_ellipse_radii_grid(60)[::97]):
+        inside = ((cols - c) / a) ** 2 + ((rows - c) / b) ** 2 <= 1.0
+        assert np.array_equal(ref.points[97 * k], inside.ravel().astype(np.float64))
 
 
 def test_ellipse_count_cap():
@@ -187,7 +201,7 @@ def test_uniform_noise_bounded_and_centered():
 
 
 def test_image_noise_clipped():
-    clean, _, _, _ = gen_ellipse_images(25)
+    clean, _, _ = gen_ellipse_images(25)
     noisy = add_image_noise(clean, 0.25, Rng(2).stream("noise"))
     assert noisy.points.min() >= 0.0 and noisy.points.max() <= 1.0
 

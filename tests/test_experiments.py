@@ -48,10 +48,10 @@ def test_run_experiment_scores_each_quantity_once(tmp_path, monkeypatch, spec):
         assert report.snr_final is not None
 
 
-def test_max_rel_error_divides_by_the_computed_diameter():
+def test_max_rel_error_divides_by_the_computed_diameter(tmp_path):
     ds = make_dataset(DatasetSpec(kind="cylinder6d", sample_count=300, noise=0.1, seed=0))
     cfg = SolverConfig(q_size=60, max_iters=3, seed=0)
-    report, result = experiments.run_experiment(ds, cfg)
+    report, result = experiments.run_experiment(ds, cfg, tmp_path)
     S = result.sketch
     err = metrics.nearest_reference_errors(result.q_final, ds.reference, S)
     assert report.max_rel_error == err.max / metrics.sketched_diameter(ds.reference, S)

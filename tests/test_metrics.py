@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mlop import metrics
 from mlop.metrics import (background_snr, erode_background, local_pca_angle_error,
                           nearest_reference_errors, nearest_reference_masks,
                           principal_directions, relative_error, sketched_diameter)
@@ -172,12 +174,12 @@ def test_pca_angle_sign_invariant():
     assert a.median_deg == pytest.approx(b.median_deg, abs=1e-9)
 
 
-def test_pca_angle_skips_isolated():
+def test_pca_angle_skips_isolated(caplog):
     X = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
     ref = np.linspace(0, 0.2, 30)[:, None] * np.array([1.0, 0, 0])
-    out = local_pca_angle_error(X, ref, h=0.12, S=S3)
-    assert out.skipped == 1
-    assert np.isnan(out.per_point[3])
+    want = assert_matches_oracle(caplog, X, ref, 0.12, S3)
+    assert want.skipped == 1 and np.isnan(want.per_point[3])
+    assert "local PCA skipped 1 points with < 2 neighbours" in caplog.text
 
 
 def test_metrics_permutation_invariant():
@@ -206,12 +208,12 @@ def test_relative_error_reuses_given_errors_and_diameter():
 
 
 def test_nearest_reference_masks_first_index_on_ties():
-    # image 0 is equidistant from reference images 1 and 2; image 1 equals reference 3
-    ref = np.array([[0.0, -9.0], [1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
-    ref_masks = np.arange(8).reshape(4, 2) % 3 == 0
-    images = np.array([[0.0, 0.5], [5.0, 5.0]])
-    out = nearest_reference_masks(images, ref, ref_masks, S2)
-    assert np.array_equal(out, ref_masks[[1, 3]])
+    # image 0 is equidistant from reference images 1 and 2; image 1 equals
+    # reference 3; a mask marks the zero pixels of the reference image
+    ref = np.array([[0.0, -9.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
+    images = np.array([[0.0, 0.5], [0.0, 5.0]])
+    out = nearest_reference_masks(images, ref, S2)
+    assert np.array_equal(out, [[False, True], [True, False]])
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +256,23 @@ def test_diameter_matches_exact_blocks(case):
     assert sketched_diameter(X, S) == oracles.exact_diameter(X, S)
 
 
-def assert_matches_oracle(X, ref, h, S, min_neighbors=2):
-    """Bitwise equal results, or the same ValueError, as the per-point oracle."""
+def assert_matches_oracle(caplog, X, ref, h, S):
+    """The same median, bit for bit, and the same logged skip count, or the
+    same ValueError, as the per-point oracle at PCA_MIN_NEIGHBORS; returns
+    the oracle's result."""
     try:
-        want = oracles.local_pca_angle_error(X, ref, h, S, min_neighbors)
+        want = oracles.local_pca_angle_error(X, ref, h, S, metrics.PCA_MIN_NEIGHBORS)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            local_pca_angle_error(X, ref, h, S, min_neighbors)
+            local_pca_angle_error(X, ref, h, S)
         return None
-    got = local_pca_angle_error(X, ref, h, S, min_neighbors)
-    assert np.array_equal(got.per_point, want.per_point, equal_nan=True)
-    assert got.skipped == want.skipped
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mlop.metrics"):
+        got = local_pca_angle_error(X, ref, h, S)
     assert got.median_deg == want.median_deg
-    return got
+    skips = [r.args[0] for r in caplog.records if r.msg.startswith("local PCA skipped")]
+    assert skips == ([want.skipped] if want.skipped else [])
+    return want
 
 
 def helix(t, n=8):
@@ -275,16 +281,16 @@ def helix(t, n=8):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_pca_angle_matches_oracle_random_clouds(seed):
+def test_pca_angle_matches_oracle_random_clouds(caplog, seed):
     rng = np.random.default_rng(40 + seed)
     X = helix(rng.uniform(0, 6, size=120)) + 0.05 * rng.normal(size=(120, 8))
     ref = helix(np.linspace(0, 6, 900))
     S = random_sketch(8, 4, seed)
-    got = assert_matches_oracle(X, ref, 0.4, S)
+    got = assert_matches_oracle(caplog, X, ref, 0.4, S)
     assert got is not None and np.isfinite(got.per_point).sum() > 100
 
 
-def test_pca_angle_matches_oracle_with_skipped_points():
+def test_pca_angle_matches_oracle_with_skipped_points(caplog):
     rng = np.random.default_rng(50)
     X = helix(rng.uniform(0, 6, size=80)) + 0.02 * rng.normal(size=(80, 8))
     X[:3] += 5.0  # isolated: skipped on their own side
@@ -292,11 +298,11 @@ def test_pca_angle_matches_oracle_with_skipped_points():
     ref = helix(t[(t < 1.5) | (t > 3.1)])
     ref = np.vstack([ref, helix(np.array([2.3]))])  # a reference point with no neighbours
     X[3:6] = helix(np.array([2.3, 2.31, 2.29]))  # ... nearest to it: skipped on its side
-    got = assert_matches_oracle(X, ref, 0.25, random_sketch(8, 8, 1))
+    got = assert_matches_oracle(caplog, X, ref, 0.25, random_sketch(8, 8, 1))
     assert got.skipped >= 6 and np.all(np.isnan(got.per_point[:6]))
 
 
-def test_pca_angle_matches_oracle_min_neighbors_edges():
+def test_pca_angle_matches_oracle_min_neighbors_edges(caplog, monkeypatch):
     rng = np.random.default_rng(60)
     X = helix(rng.uniform(0, 6, size=60)) + 0.03 * rng.normal(size=(60, 8))
     ref = helix(np.linspace(0, 6, 400))
@@ -307,35 +313,37 @@ def test_pca_angle_matches_oracle_min_neighbors_edges():
               < h * h).sum(axis=1) - 1
     k = int(np.median(counts))
     for min_neighbors in (1, 2, k, k + 1, int(counts.max()), int(counts.max()) + 1, 10**6):
-        assert_matches_oracle(X, ref, h, S, min_neighbors)
+        monkeypatch.setattr(metrics, "PCA_MIN_NEIGHBORS", min_neighbors)
+        assert_matches_oracle(caplog, X, ref, h, S)
+    # still at 10**6 neighbours
     with pytest.raises(ValueError, match="every point was skipped"):
-        local_pca_angle_error(X, ref, h, S, 10**6)
+        local_pca_angle_error(X, ref, h, S)
 
 
-def test_pca_angle_matches_oracle_duplicate_rows():
+def test_pca_angle_matches_oracle_duplicate_rows(caplog):
     rng = np.random.default_rng(70)
     X = helix(rng.uniform(0, 6, size=50)) + 0.03 * rng.normal(size=(50, 8))
     X = np.vstack([X, X[:10]])  # duplicated reconstruction points
     ref = helix(np.linspace(0, 6, 300))
     ref = np.vstack([ref, ref[::3]])  # duplicated reference points
     S = random_sketch(8, 4, 3)
-    assert assert_matches_oracle(X, ref, 0.5, S) is not None
+    assert assert_matches_oracle(caplog, X, ref, 0.5, S) is not None
     # three coincident points far from the rest: each one's neighbourhood
     # is the two others, so both raise "degenerate"
     X[1:4] = X[0] + 50.0
     with pytest.raises(ValueError, match="degenerate"):
         oracles.local_pca_angle_error(X, ref, 0.5, S, 2)
-    assert_matches_oracle(X, ref, 0.5, S, 2)
+    assert_matches_oracle(caplog, X, ref, 0.5, S)
     # a degenerate reference neighbourhood is never looked at for a point
     # skipped on its own side: here the lone point X[1] nearest to it
     X[1:4] = X[0] - 50.0
     X[2:4] += 5.0
     ref = np.vstack([ref, np.repeat(X[1:2] + 0.01, 3, axis=0)])
-    got = assert_matches_oracle(X, ref, 0.5, S, 2)
+    got = assert_matches_oracle(caplog, X, ref, 0.5, S)
     assert got is not None and np.isnan(got.per_point[1])
 
 
-def test_pca_angle_matches_oracle_near_tie_nearest_reference():
+def test_pca_angle_matches_oracle_near_tie_nearest_reference(caplog):
     # evaluated points half way between dyadic reference points: exact ties
     # under the identity sketch, near ties under a random one
     grid = np.stack(np.meshgrid(np.arange(12.0) / 4.0, np.arange(6.0) / 2.0), -1)
@@ -344,4 +352,4 @@ def test_pca_angle_matches_oracle_near_tie_nearest_reference():
     D2 = oracles.sq_dists_block(X, ref)
     assert np.sum((D2 == D2.min(axis=1, keepdims=True)).sum(axis=1) > 1) >= 60
     for S in (S3, random_sketch(3, 3, 4)):
-        assert assert_matches_oracle(X, ref, 0.6, S) is not None
+        assert assert_matches_oracle(caplog, X, ref, 0.6, S) is not None

@@ -232,6 +232,30 @@ def test_grid_h2_within_factor_two_of_h1():
     assert 0.5 <= sup.h2 / sup.h1 <= 2.0
 
 
+@pytest.mark.parametrize("shape", ["gaussian", "lattice", "sketched", "pair"])
+def test_h2_is_the_grid_value_of_the_subsample_quota(shape):
+    """h2 is the first grid multiple of the subsample's fill distance that
+    reaches its largest quota radius at nu = 1, from the per-row oracle;
+    the lattice repeats rows, so some nearest partners sit at distance 0."""
+    rng = np.random.default_rng(8)
+    pts, S, I = {
+        "gaussian": (rng.normal(size=(300, 5)), SketchMatrix(np.eye(5)), 60),
+        "lattice": (rng.integers(0, 10, size=(200, 3)).astype(float),
+                    SketchMatrix(np.eye(3)), 90),
+        "sketched": (rng.normal(size=(250, 12)) * np.linspace(1, 3, 12),
+                     SketchMatrix(np.linalg.qr(rng.normal(size=(12, 4)))[0]), 50),
+        "pair": (col(0, 1, 3, 7), S1, 2),
+    }[shape]
+    for seed in range(3):
+        q0 = pts[Rng(seed).stream("init").subsample(pts.shape[0], I)]
+        sup = estimate_supports(pts, I, S, Rng(seed).stream("supports"), q0)
+        qr = pts[Rng(seed).stream("supports").subsample(pts.shape[0], I)]
+        needed = float(quota_radii(qr, qr, 1, S).max())
+        h0 = fill_distance(qr, S)
+        c = next(C_GROWTH ** k for k in range(100) if C_GROWTH ** k * h0 >= needed)
+        assert sup.h2 == c * h0
+
+
 def test_reconstruction_larger_than_data_rejected():
     with pytest.raises(ConfigError, match="I > J|1 <= I <= J"):
         estimate_supports(col(0, 1, 2), 4, S1, Rng(0), col(0, 1, 2, 2))
