@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from mlop.cli import main
 from mlop.cloud import load_cloud, write_matrix
 from mlop.datasets import KINDS, DatasetSpec
 from mlop.experiments import EXPERIMENT_NAMES
+from mlop.metrics import background_snr, erode_background
+from mlop.sketch import load_sketch
 from mlop.solver import SolverConfig
 
 
@@ -121,25 +124,31 @@ def test_run_and_rescore_images(tmp_path):
     assert rescore_matches_report(tmp_path, data, out)["snr_final"] is not None
 
 
-# snr_final of the images run below, as the layout that stored reference
-# masks scored it
-PINNED_SNR_FINAL = float.fromhex("0x1.4dd515d8a6e79p-1")
-
-
 def test_bundle_with_stored_reference_masks_scores_the_same(tmp_path):
     """A bundle from the layout that also wrote reference_masks.csv still
-    loads, its run and rescore give that layout's snr_final bit for bit,
-    and the stale file is not read: spoilt, it changes nothing."""
+    loads, and its run and rescore give bit for bit the snr_final that the
+    stored masks give; the stale file is not read: cut short, it changes
+    nothing."""
     data = tmp_path / "data"
     assert main(gen_args(data, kind="ellipse_images", count=30)) == 0
     reference = load_cloud(data / "reference.csv").points
-    write_matrix((reference == 0.0).astype(np.float64), data / "reference_masks.csv")
+    stale = data / "reference_masks.csv"
+    write_matrix((reference == 0.0).astype(np.float64), stale)
     out = tmp_path / "out"
     assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
-    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == PINNED_SNR_FINAL
-    stale = data / "reference_masks.csv"
+
+    # score Q_final the way that layout did: the stored mask of each image's
+    # nearest reference image, by exact sketched distances
+    S = load_sketch(out / "sketch.csv")
+    q = load_cloud(out / "Q_final.csv").points
+    nearest = np.argmin(oracles.sq_dists_block(S.project(q), S.project(reference)), axis=1)
+    stored = load_cloud(stale).points == 1.0
+    want = background_snr(q, erode_background(stored[nearest]))
+    assert want is not None
+
+    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == want
     stale.write_text("".join(stale.read_text().splitlines(keepends=True)[:5]))
-    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == PINNED_SNR_FINAL
+    assert rescore_matches_report(tmp_path, data, out)["snr_final"] == want
 
 
 def test_metrics_fresh_sketch_is_the_runs_sketch(tmp_path, caplog):

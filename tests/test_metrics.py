@@ -208,12 +208,17 @@ def test_relative_error_reuses_given_errors_and_diameter():
 
 
 def test_nearest_reference_masks_first_index_on_ties():
-    # image 0 is equidistant from reference images 1 and 2; image 1 equals
-    # reference 3; a mask marks the zero pixels of the reference image
-    ref = np.array([[0.0, -9.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
-    images = np.array([[0.0, 0.5], [0.0, 5.0]])
+    # a mask marks the zero pixels of the reference image, and the four
+    # reference masks are [T, F], [F, T], [T, F], [F, F].  Image 0 is
+    # equidistant from references 1 and 2, whose masks differ; image 1 equals
+    # reference 3, the only one with mask [F, F]
+    ref = np.array([[0.0, -9.0], [1.0, 0.0], [0.0, 1.0], [3.0, 5.0]])
+    images = np.array([[0.5, 0.5], [3.0, 5.0]])
     out = nearest_reference_masks(images, ref, S2)
-    assert np.array_equal(out, [[False, True], [True, False]])
+    assert np.array_equal(out, [[False, True], [False, False]])
+    # listed the other way round, the tie goes to the other first index
+    out = nearest_reference_masks(images, ref[[0, 2, 1, 3]], S2)
+    assert np.array_equal(out, [[True, False], [False, False]])
 
 
 # ---------------------------------------------------------------------------
