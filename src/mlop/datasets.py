@@ -6,10 +6,10 @@ noise-free reference sampled REF_DENSITY[kind] times denser per parameter
 axis.  Generators are deterministic given their spec seed.
 
 A dataset bundle on disk is the directory ``write_dataset`` fills and
-``load_dataset_dir`` reads: P.csv, reference.csv, spec.json, plus masks.csv
-for image sets.  The masks mark the background (zero) pixels of the clean
-images behind the noisy P.csv.  A reference image is a clean binary raster,
-so its background is read from reference.csv itself.
+``load_dataset_dir`` reads: P.csv, reference.csv and spec.json.  A reference
+image is a clean binary raster, so its background is its zero pixels, and an
+evaluated image is scored on the background of its nearest reference image.
+No mask is stored.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud, load_cloud, save_cloud, write_matrix
+from .cloud import PointCloud, load_cloud, save_cloud
 from .errors import CloudFormatError, ConfigError, check_fields, check_seed
+from .metrics import erode_background
 from .rng import Rng
 
 KINDS = ("o2", "cone_segment", "cylinder2d", "cylinder6d", "ellipse_images", "grid_line")
@@ -123,7 +124,11 @@ class Dataset:
     points: PointCloud
     reference: PointCloud
     clean: PointCloud | None = None
-    masks: np.ndarray | None = None
+
+    @property
+    def images(self) -> bool:
+        """Whether the points are images, scored by their background SNR."""
+        return self.spec.kind == "ellipse_images"
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +312,17 @@ def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
 
 def gen_ellipse_images(J: int):
     """Centered axis-aligned ellipses with radii on a uniform grid, flattened
-    to R^400.  Returns (clean cloud, background masks, reference cloud); the
-    masks mark the zero pixels of the clean images.  ``make_dataset`` adds
-    the spec's noise as per-pixel Gaussian noise of that sigma
-    (``add_image_noise``)."""
+    to R^400.  Returns (clean cloud, reference cloud), both binary rasters.
+    ``make_dataset`` adds the spec's noise as per-pixel Gaussian noise of
+    that sigma (``add_image_noise``)."""
     grid = _ellipse_radii_grid(ELLIPSE_GRID)
     if J > grid.shape[0]:
         raise ConfigError(f"at most {grid.shape[0]} ellipse samples available")
     take = (np.arange(J) * grid.shape[0]) // J
     radii = grid[take]
-    imgs = _ellipse_images(radii)
     ref_per_axis = int(math.ceil(ELLIPSE_GRID * REF_DENSITY["ellipse_images"]))
     ref_imgs = _ellipse_images(_ellipse_radii_grid(ref_per_axis))
-    return PointCloud(imgs), imgs == 0.0, PointCloud(ref_imgs)
+    return PointCloud(_ellipse_images(radii)), PointCloud(ref_imgs)
 
 
 def gen_grid_line(J: int, n: int):
@@ -358,7 +361,6 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     other kind; noise 0 leaves the samples on the structure.
     """
     root = Rng(spec.seed)
-    masks = None
     if spec.kind == "o2":
         clean, reference = gen_o2(spec.sample_count, root.stream("mixing"), n=spec.ambient_dim)
     elif spec.kind == "cone_segment":
@@ -370,7 +372,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
             spec.sample_count, root.stream("structure"), root.stream("reference"),
             n=spec.ambient_dim)
     elif spec.kind == "ellipse_images":
-        clean, masks, reference = gen_ellipse_images(spec.sample_count)
+        clean, reference = gen_ellipse_images(spec.sample_count)
     elif spec.kind == "grid_line":
         clean, reference = gen_grid_line(spec.sample_count, spec.ambient_dim)
     else:  # pragma: no cover - spec validation rejects this earlier
@@ -378,7 +380,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
     add_noise = add_image_noise if spec.kind == "ellipse_images" else add_uniform_noise
     noisy = add_noise(clean, spec.noise, root.stream("noise"))
-    return Dataset(spec=spec, points=noisy, clean=clean, reference=reference, masks=masks)
+    return Dataset(spec=spec, points=noisy, clean=clean, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +394,6 @@ def write_dataset(ds: Dataset, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_cloud(ds.points, out / "P.csv")
     save_cloud(ds.reference, out / "reference.csv")
-    if ds.masks is not None:
-        write_matrix(ds.masks.astype(np.float64), out / "masks.csv")
     with open(out / "spec.json", "w", encoding="ascii") as fh:
         json.dump(ds.spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -402,11 +402,12 @@ def write_dataset(ds: Dataset, out_dir) -> None:
 def load_dataset_dir(path) -> Dataset:
     """Re-assemble a dataset bundle written by ``write_dataset``.
 
-    A P.csv of one point, a reference in another dimension than P.csv or
-    with no extent to normalize errors by, a masks.csv of another shape than
-    P.csv, and an image set's reference.csv that is not binary raise
-    CloudFormatError naming the file.  A reference_masks.csv left by an
-    earlier layout is not read.
+    A P.csv of one point or with another column count than spec.json's
+    ambient_dim, a reference in another dimension than P.csv or with no
+    extent to normalize errors by, and an image set's reference.csv that is
+    not binary or has an image with fewer than 2 background pixels left
+    after ``erode_background`` raise CloudFormatError naming the file.  The
+    masks.csv and reference_masks.csv of earlier layouts are not read.
     """
     d = Path(path)
     spec = DatasetSpec.from_json(d / "spec.json")
@@ -414,20 +415,22 @@ def load_dataset_dir(path) -> Dataset:
     reference = load_cloud(d / "reference.csv")
     if points.size < 2:
         raise CloudFormatError(f"{d / 'P.csv'}: 1 point, a dataset needs at least 2")
+    if points.ambient_dim != spec.ambient_dim:
+        raise CloudFormatError(f"{d / 'P.csv'}: {points.ambient_dim} columns, spec.json "
+                               f"has ambient_dim {spec.ambient_dim}")
     if reference.ambient_dim != points.ambient_dim:
         raise CloudFormatError(f"{d / 'reference.csv'}: {reference.ambient_dim} columns, "
                                f"P.csv has {points.ambient_dim}")
     if not np.ptp(reference.points, axis=0).any():
         raise CloudFormatError(f"{d / 'reference.csv'}: all points coincide, so the "
                                "reference has no diameter")
-    masks = None
-    if (d / "masks.csv").exists():
-        masks = load_cloud(d / "masks.csv").points
-        if masks.shape != points.points.shape:
-            raise CloudFormatError(f"{d / 'masks.csv'}: shape {masks.shape}, P.csv has "
-                                   f"{points.points.shape}")
-        masks = masks.astype(bool)
+    ds = Dataset(spec=spec, points=points, reference=reference)
+    if ds.images:
         if not np.isin(reference.points, (0.0, 1.0)).all():
             raise CloudFormatError(f"{d / 'reference.csv'}: pixels other than 0 and 1, but "
                                    "an image set's reference backgrounds are its zero pixels")
-    return Dataset(spec=spec, points=points, reference=reference, masks=masks)
+        thin = np.flatnonzero(erode_background(reference.points == 0.0).sum(axis=1) < 2)
+        if thin.size:
+            raise CloudFormatError(f"{d / 'reference.csv'}: image {thin[0]} has fewer than 2 "
+                                   "background pixels after erosion")
+    return ds

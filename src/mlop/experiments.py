@@ -19,8 +19,8 @@ from .cloud import PointCloud, save_cloud, write_matrix, write_table
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import ConfigError, check_fields
 from .metrics import (NearestErrors, background_snr, erode_background,
-                      local_pca_angle_error, nearest_reference_errors,
-                      nearest_reference_masks, relative_error, sketched_diameter)
+                      local_pca_angle_error, nearest_reference_errors, relative_error,
+                      sketched_diameter)
 from .neighborhood import fill_distance
 from .rng import Rng
 from .sketch import SketchMatrix, save_sketch
@@ -103,21 +103,19 @@ class ExperimentReport:
 
 
 def score_cloud(cloud: PointCloud, ds: Dataset, S: SketchMatrix, diameter: float,
-                masks=None, threads: int = 1) -> tuple:
+                threads: int = 1) -> tuple:
     """Score one cloud against ``ds.reference`` with one nearest-reference scan.
 
     ``diameter`` is ``sketched_diameter(ds.reference, S)``.  Returns
     (nearest errors, relative_error, max_rel_error, fill distance, SNR); the
-    fill distance is None below 2 points, and the SNR is None without image
-    masks.  The SNR reads the eroded background ``masks``, by default those
-    of the nearest reference images.
+    fill distance is None below 2 points, and the SNR is None unless the
+    dataset holds images.  An image's background is the eroded zero pixels
+    of its nearest reference image, from the same scan as the errors.
     """
     err = nearest_reference_errors(cloud, ds.reference, S, threads=threads)
     snr = None
-    if ds.masks is not None:
-        if masks is None:
-            masks = nearest_reference_masks(cloud, ds.reference, S, threads=threads)
-        snr = background_snr(cloud, erode_background(masks))
+    if ds.images:
+        snr = background_snr(cloud, erode_background(ds.reference.points[err.nearest] == 0.0))
     rel = relative_error(cloud, ds.reference, S, errors=err, diameter=diameter)
     fill = fill_distance(cloud, S) if cloud.size >= 2 else None
     return err, rel, float(err.max / diameter), fill, snr
@@ -134,8 +132,7 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
     S = result.sketch
     q0 = ds.points.subset(result.q0_indices)
     diameter = sketched_diameter(ds.reference, S)
-    q0_masks = ds.masks[result.q0_indices] if ds.masks is not None else None
-    err0, rel0, _, fill0, snr0 = score_cloud(q0, ds, S, diameter, q0_masks, config.threads)
+    err0, rel0, _, fill0, snr0 = score_cloud(q0, ds, S, diameter, config.threads)
     err1, rel1, max_rel1, fill1, snr1 = score_cloud(result.q_final, ds, S, diameter,
                                                     threads=config.threads)
     report = ExperimentReport(

@@ -17,9 +17,10 @@ the per-entry error of the GEMM form |x|^2 + |y|^2 - 2 x.y in R^m:
   order, and the nearest-partner distances, are those of explicit
   differences bit for bit, and every other entry is off by less than
   1 / REMEASURE_K of itself.
-- The scans against another set (``nearest_rows``/``min_dists``,
-  ``max_dists``, ``radius_pairs``) screen candidates with the uncentred GEMM
-  form and measure them by exact differences, so their results are exact.
+- The scans against another set (``min_dists``, ``max_dists``,
+  ``radius_pairs``) screen candidates with the uncentred GEMM form and
+  measure them by exact differences, so their results are exact; one
+  ``min_dists`` scan gives both the nearest distances and the nearest rows.
   ``pairwise_dists`` uses exact differences throughout.
 
 Work is split into fixed-size row chunks regardless of thread count, and
@@ -333,8 +334,9 @@ def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,
     return _repulsion(None, Qs, h2, cutoff, delta_min, threads, weights=lam)
 
 
-def nearest_rows(Xs, Ys, threads: int = 1):
-    """Per row of Xs, the distance to its nearest row of Ys and that row's index.
+def min_dists(Xs, Ys, threads: int = 1):
+    """Per row of Xs, the distance to its nearest row of Ys and that row's
+    index: returns (dists, idx).
 
     Candidates are screened with the GEMM form and measured by exact
     coordinate differences, so a row of Xs that equals a row of Ys bit for
@@ -346,15 +348,10 @@ def nearest_rows(Xs, Ys, threads: int = 1):
             np.concatenate([i for _, i in parts] or [np.empty(0, dtype=int)]))
 
 
-def min_dists(Xs, Ys, threads: int = 1):
-    """Per row of Xs, the distance to its nearest row of Ys (see nearest_rows)."""
-    return nearest_rows(Xs, Ys, threads)[0]
-
-
 def max_dists(Xs, Ys):
     """Per row of Xs, the distance to its farthest row of Ys.
 
-    Screened like nearest_rows and measured by exact differences; the
+    Screened like min_dists and measured by exact differences; the
     largest entry of ``max_dists(X, X)`` is the diameter of X.
     """
     return np.concatenate(_scan(_farthest_np, Xs, Ys) or [np.empty(0)])

@@ -22,20 +22,23 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class NearestErrors:
     dists: np.ndarray
+    nearest: np.ndarray
     rmse: float
     max: float
     variance: float
 
 
 def nearest_reference_errors(Q, reference, S: SketchMatrix, threads: int = 1) -> NearestErrors:
-    """Per-point sketched distance to the nearest reference point, with
-    rmse, max, and population variance of the distances."""
+    """Per-point sketched distance to the nearest reference point and that
+    point's index (the first one on ties), with rmse, max, and population
+    variance of the distances."""
     ref = as_points(reference)
     if ref.shape[0] == 0:
         raise ValueError("reference cloud is empty")
-    d = kernels.min_dists(S.project(Q), S.project(ref), threads=threads)
+    d, idx = kernels.min_dists(S.project(Q), S.project(ref), threads=threads)
     return NearestErrors(
         dists=d,
+        nearest=idx,
         rmse=float(np.sqrt(np.mean(d * d))),
         max=float(d.max()),
         variance=float(np.var(d)),
@@ -87,19 +90,6 @@ def relative_error(Q, reference, S: SketchMatrix, *,
     if errors is None:
         errors = nearest_reference_errors(Q, reference, S)
     return float(np.mean(errors.dists) / diam)
-
-
-def nearest_reference_masks(images, reference, S: SketchMatrix,
-                            threads: int = 1) -> np.ndarray:
-    """Per evaluated image, the background mask of its nearest reference
-    image in sketched distance (the first one on ties).
-
-    Reference images are clean binary rasters, so a background pixel is a
-    zero pixel of the reference image.
-    """
-    ref = as_points(reference)
-    _, idx = kernels.nearest_rows(S.project(images), S.project(ref), threads=threads)
-    return ref[idx] == 0.0
 
 
 def background_snr(images, masks) -> float | None:
@@ -221,7 +211,7 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix) -> PcaAngleRe
     side, are skipped, and their count is logged.
 
     Neighbours and nearest reference points come from screened scans
-    measured by exact differences (kernels.radius_pairs, nearest_rows).  A
+    measured by exact differences (kernels.radius_pairs, min_dists).  A
     reference tangent is computed once per distinct nearest reference
     point, and only for points whose own neighbourhood is large enough.
     """
@@ -230,7 +220,7 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix) -> PcaAngleRe
     xs = S.project(xs_full)
     rs = S.project(ref_full)
     n = xs.shape[0]
-    _, nearest_ref = kernels.nearest_rows(xs, rs)
+    _, nearest_ref = kernels.min_dists(xs, rs)
     x_nbrs = _radius_neighbours(xs, xs, h, np.arange(n))
     evaluated = [i for i in range(n) if x_nbrs[i].size >= PCA_MIN_NEIGHBORS]
     v_xs = principal_directions(xs_full[x_nbrs[i]] for i in evaluated)

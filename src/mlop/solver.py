@@ -206,7 +206,7 @@ def _init_indices(P: PointCloud, config: SolverConfig, S: SketchMatrix, rng: Rng
     # once: a separately projected copy of the centre row can differ from its
     # row of S.project(P) in the last bits
     Ps = S.project(P)
-    d = kernels.min_dists(Ps, Ps[J // 2][None, :])
+    d = kernels.min_dists(Ps, Ps[J // 2][None, :])[0]
     return np.sort(np.argsort(d, kind="stable")[:I])
 
 

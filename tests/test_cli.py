@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mlop.cli import main
 from mlop.cloud import load_cloud, write_matrix
-from mlop.datasets import KINDS, DatasetSpec
+from mlop.datasets import KINDS, DatasetSpec, make_dataset
 from mlop.experiments import EXPERIMENT_NAMES
 from mlop.metrics import background_snr, erode_background
 from mlop.sketch import load_sketch
@@ -44,13 +44,6 @@ def test_gen_writes_bundle_deterministically(tmp_path):
     for name in ("P.csv", "reference.csv", "spec.json"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name)
     assert not (out1 / "masks.csv").exists()
-
-
-def test_gen_images_write_masks(tmp_path):
-    out = tmp_path / "img"
-    assert main(gen_args(out, kind="ellipse_images", count=36)) == 0
-    assert (out / "masks.csv").exists()
-    assert not (out / "reference_masks.csv").exists()
 
 
 def test_gen_unknown_kind_usage_error(tmp_path):
@@ -119,9 +112,32 @@ def test_run_and_rescore(tmp_path):
 def test_run_and_rescore_images(tmp_path):
     data = tmp_path / "data"
     assert main(gen_args(data, kind="ellipse_images", count=30)) == 0
+    assert sorted(p.name for p in data.iterdir()) == ["P.csv", "reference.csv", "spec.json"]
     out = tmp_path / "out"
     assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
     assert rescore_matches_report(tmp_path, data, out)["snr_final"] is not None
+
+
+@pytest.mark.parametrize("stored", ["clean", "all-zero"])
+def test_bundle_with_stored_masks_scores_the_same(tmp_path, stored):
+    """A bundle from the layout that also wrote masks.csv (the zero pixels of
+    the clean images) runs and rescores as the bundle without it: the file
+    is not read, so an all-zero masks.csv, which marks no background pixel,
+    changes nothing either."""
+    data = tmp_path / "data"
+    assert main(gen_args(data, kind="ellipse_images", count=30)) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_config(tmp_path, data, out))]) == 0
+    clean = make_dataset(DatasetSpec.from_json(data / "spec.json")).clean.points
+    masks = clean == 0.0 if stored == "clean" else np.zeros_like(clean)
+    write_matrix(masks.astype(np.float64), data / "masks.csv")
+    stale = tmp_path / "stale"
+    assert main(["run", "--config", str(run_config(tmp_path, data, stale))]) == 0
+    want, got = (json.loads((o / "report.json").read_text()) for o in (out, stale))
+    assert want["snr_initial"] is not None and want["snr_final"] is not None
+    for key in ("snr_initial", "snr_final"):
+        assert got[key] == want[key], key
+    assert rescore_matches_report(tmp_path, data, stale)["snr_final"] == want["snr_final"]
 
 
 def test_bundle_with_stored_reference_masks_scores_the_same(tmp_path):
@@ -318,29 +334,38 @@ def test_bad_csv_cell_exits_4_naming_the_file(tmp_path, capsys, body):
     ("P", "P.csv: 1 point, a dataset needs at least 2"),
     ("reference", "reference.csv: 9 columns, P.csv has 8"),
     ("coincident", "reference.csv: all points coincide"),
-    ("masks", "masks.csv: shape (5, 400), P.csv has (20, 400)"),
+    ("columns", "P.csv: 390 columns, spec.json has ambient_dim 400"),
     ("binary", "reference.csv: pixels other than 0 and 1"),
-], ids=["one-point", "reference-columns", "coincident-reference", "masks",
-        "reference-not-binary"])
+    ("background", "reference.csv: image 0 has fewer than 2 background pixels after "
+                   "erosion"),
+], ids=["one-point", "reference-columns", "coincident-reference", "spec-columns",
+        "reference-not-binary", "reference-background"])
 @pytest.mark.parametrize("command", ["run", "metrics"])
 def test_bad_bundle_file_exits_4(tmp_path, capsys, defect, named, command):
     data = tmp_path / "data"
-    if defect in ("masks", "binary"):
+    if defect in ("columns", "binary", "background"):
         main(gen_args(data, kind="ellipse_images", count=20))
     else:
         main(gen_args(data))
     if defect == "binary":  # the background of every reference image lifted off 0
         text = (data / "reference.csv").read_text()
         (data / "reference.csv").write_text(text.replace("0,", "0.01,"))
+    elif defect == "columns":  # both image files cut to their first 390 pixels
+        for name in ("P.csv", "reference.csv"):
+            lines = (data / name).read_text().splitlines()
+            (data / name).write_text("".join(",".join(line.split(",")[:390]) + "\n"
+                                             for line in lines))
+    elif defect == "background":  # a reference image that is all foreground
+        lines = (data / "reference.csv").read_text().splitlines(keepends=True)
+        (data / "reference.csv").write_text(",".join(["1"] * 400) + "\n" + "".join(lines[1:]))
     elif defect == "reference":
         main(gen_args(tmp_path / "data9", extra=("--ambient-dim", "9")))
         (data / "reference.csv").write_bytes((tmp_path / "data9" / "reference.csv").read_bytes())
     elif defect == "coincident":
         (data / "reference.csv").write_text("0.5,1,0,0,0,0,0,0\n" * 3)
-    else:  # keep the first rows only
-        path = data / f"{defect}.csv"
-        rows = 1 if defect == "P" else 5
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:rows]))
+    else:  # keep the first row only
+        path = data / "P.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
     if command == "run":
         argv = ["run", "--config", str(run_config(tmp_path, data, tmp_path / "out"))]
     else:

@@ -11,6 +11,7 @@ from mlop.datasets import (IMAGE_SIDE, KINDS, DatasetSpec, _axis_counts, _cone_e
                            gen_grid_line, gen_o2, make_dataset, random_orthogonal,
                            sphere5_coords)
 from mlop.errors import ConfigError
+from mlop.metrics import erode_background
 from mlop.neighborhood import fill_distance
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix
@@ -135,17 +136,15 @@ def test_cylinder6d_draws_from_the_root_streams():
 
 
 def test_ellipse_images_binary_with_masks():
-    clean, masks, ref = gen_ellipse_images(900)
+    clean, ref = gen_ellipse_images(900)
     assert clean.points.shape == (900, 400)
     assert set(np.unique(clean.points)) <= {0.0, 1.0}
-    # masks mark exactly the zero pixels
-    assert np.array_equal(masks, clean.points == 0.0)
     # the reference is binary too, so its zero pixels are its background
     assert ref.points.shape == (3600, 400)
     assert set(np.unique(ref.points)) <= {0.0, 1.0}
-    # the largest ellipse still leaves background
-    biggest = int(np.argmax(clean.points.sum(axis=1)))
-    assert masks[biggest].sum() > 0
+    # the largest ellipse still leaves background after erosion
+    biggest = int(np.argmax(ref.points.sum(axis=1)))
+    assert erode_background(ref.points[[biggest]] == 0.0).sum() >= 2
     # pinned bytes of both raster sets, and the pixel-centre test one image
     # at a time: the batched rasterization must not move a pixel
     assert (hashlib.sha256(clean.points.tobytes()).hexdigest()
@@ -157,6 +156,12 @@ def test_ellipse_images_binary_with_masks():
     for k, (a, b) in enumerate(_ellipse_radii_grid(60)[::97]):
         inside = ((cols - c) / a) ** 2 + ((rows - c) / b) ** 2 <= 1.0
         assert np.array_equal(ref.points[97 * k], inside.ravel().astype(np.float64))
+
+
+def test_only_ellipse_images_are_images():
+    for kind in KINDS:
+        ds = make_dataset(DatasetSpec(kind=kind, sample_count=16))
+        assert ds.images == (kind == "ellipse_images")
 
 
 def test_ellipse_count_cap():
@@ -201,7 +206,7 @@ def test_uniform_noise_bounded_and_centered():
 
 
 def test_image_noise_clipped():
-    clean, _, _ = gen_ellipse_images(25)
+    clean, _ = gen_ellipse_images(25)
     noisy = add_image_noise(clean, 0.25, Rng(2).stream("noise"))
     assert noisy.points.min() >= 0.0 and noisy.points.max() <= 1.0
 

@@ -102,9 +102,10 @@ def test_min_dists_matches_brute_force():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 6))
     Y = rng.normal(size=(70, 6))
-    out = kernels.min_dists(X, Y)
-    brute = np.sqrt(((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)).min(1)
-    assert np.allclose(out, brute, rtol=1e-9)
+    out, idx = kernels.min_dists(X, Y)
+    D = np.sqrt(((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1))
+    assert np.allclose(out, D.min(1), rtol=1e-9)
+    assert np.array_equal(idx, D.argmin(1))
 
 
 def test_min_dists_row_of_reference_is_exactly_zero():
@@ -113,16 +114,17 @@ def test_min_dists_row_of_reference_is_exactly_zero():
     X = 50.0 + rng.normal(size=(150, 20))
     S = np.linalg.qr(rng.normal(size=(20, 6)))[0]
     Xs = X @ S
-    out = kernels.min_dists(Xs, Xs)
+    out, idx = kernels.min_dists(Xs, Xs)
     assert np.all(out == 0.0)
+    assert np.array_equal(idx, np.arange(150))
 
 
 def test_min_dists_thread_count_bitwise_invariance():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(200, 6))
     Y = rng.normal(size=(300, 6))
-    assert np.array_equal(kernels.min_dists(X, Y, threads=1),
-                          kernels.min_dists(X, Y, threads=2))
+    assert np.array_equal(kernels.min_dists(X, Y, threads=1)[0],
+                          kernels.min_dists(X, Y, threads=2)[0])
 
 
 def test_min_dists_near_tie_matches_brute_force():
@@ -134,7 +136,7 @@ def test_min_dists_near_tie_matches_brute_force():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     Y = np.vstack([X + 0.01 * (1.0 + 1e-8) * u, X + 0.01 * v])
-    out = kernels.min_dists(X, Y)
+    out, _ = kernels.min_dists(X, Y)
     brute = np.sqrt(((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)).min(1)
     assert np.allclose(out, brute, rtol=1e-12, atol=0.0)
 
@@ -187,11 +189,10 @@ def antipodal_clusters(seed=15, count=50, size=4):
 def test_screened_scans_match_brute_force_on_near_ties():
     X, Y = near_tie_instance()
     D2 = brute_sq_dists(X, Y)
-    dist, idx = kernels.nearest_rows(X, Y)
+    dist, idx = kernels.min_dists(X, Y)
     assert np.array_equal(dist, np.sqrt(D2.min(axis=1)))
     assert np.array_equal(idx, np.argmin(D2, axis=1))
     assert np.array_equal(idx[:10], np.arange(10))  # first index on exact ties
-    assert np.array_equal(kernels.min_dists(X, Y), dist)
     # farthest rows: far from the origin, each point has a cluster of
     # antipodes whose distances differ by far less than the screen's error
     Z = antipodal_clusters()
@@ -208,14 +209,14 @@ def test_screened_scans_thread_count_bitwise_invariance():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(200, 6))
     Y = rng.normal(size=(300, 6))
-    one, two = kernels.nearest_rows(X, Y, threads=1), kernels.nearest_rows(X, Y, threads=2)
+    one, two = kernels.min_dists(X, Y, threads=1), kernels.min_dists(X, Y, threads=2)
     for a, b in zip(one, two):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_screened_scans_empty_rows():
     Y = np.random.default_rng(14).normal(size=(5, 3))
-    dist, idx = kernels.nearest_rows(np.empty((0, 3)), Y)
+    dist, idx = kernels.min_dists(np.empty((0, 3)), Y)
     assert dist.shape == idx.shape == (0,)
     assert kernels.max_dists(np.empty((0, 3)), Y).shape == (0,)
     rows, cols = kernels.radius_pairs(Y, Y, 1e-3)  # only the self pairs

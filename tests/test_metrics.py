@@ -8,8 +8,8 @@ import pytest
 import oracles
 from mlop import metrics
 from mlop.metrics import (background_snr, erode_background, local_pca_angle_error,
-                          nearest_reference_errors, nearest_reference_masks,
-                          principal_directions, relative_error, sketched_diameter)
+                          nearest_reference_errors, principal_directions, relative_error,
+                          sketched_diameter)
 from mlop.sketch import SketchMatrix
 
 S2 = SketchMatrix(np.eye(2))
@@ -207,18 +207,22 @@ def test_relative_error_reuses_given_errors_and_diameter():
         relative_error(Q, ref, S3, errors=err, diameter=0.0)
 
 
-def test_nearest_reference_masks_first_index_on_ties():
-    # a mask marks the zero pixels of the reference image, and the four
-    # reference masks are [T, F], [F, T], [T, F], [F, F].  Image 0 is
-    # equidistant from references 1 and 2, whose masks differ; image 1 equals
-    # reference 3, the only one with mask [F, F]
+def test_nearest_reference_errors_first_index_on_ties():
+    # an image's background is the zero pixels of its nearest reference, and
+    # the four reference backgrounds are [T, F], [F, T], [T, F], [F, F].
+    # Image 0 is equidistant from references 1 and 2, whose backgrounds
+    # differ; image 1 equals reference 3, the only one with background [F, F]
     ref = np.array([[0.0, -9.0], [1.0, 0.0], [0.0, 1.0], [3.0, 5.0]])
     images = np.array([[0.5, 0.5], [3.0, 5.0]])
-    out = nearest_reference_masks(images, ref, S2)
-    assert np.array_equal(out, [[False, True], [False, False]])
+    err = nearest_reference_errors(images, ref, S2)
+    assert err.dists[0] == math.sqrt(0.5) and err.dists[1] == 0.0
+    assert np.array_equal(err.nearest, [1, 3])
+    assert np.array_equal(ref[err.nearest] == 0.0, [[False, True], [False, False]])
     # listed the other way round, the tie goes to the other first index
-    out = nearest_reference_masks(images, ref[[0, 2, 1, 3]], S2)
-    assert np.array_equal(out, [[True, False], [False, False]])
+    swapped = ref[[0, 2, 1, 3]]
+    err = nearest_reference_errors(images, swapped, S2)
+    assert np.array_equal(err.nearest, [1, 3])
+    assert np.array_equal(swapped[err.nearest] == 0.0, [[True, False], [False, False]])
 
 
 # ---------------------------------------------------------------------------

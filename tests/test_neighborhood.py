@@ -1,14 +1,19 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from mlop import kernels
+from mlop.datasets import make_dataset
 from mlop.errors import ConfigError, UnreachableSupportError
+from mlop.experiments import RECIPES
 from mlop.neighborhood import (C_GROWTH, C_MAX, SupportParams, _quota_radii,
                                estimate_supports, fill_distance, guarantee_radius)
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix
+from mlop.solver import run
 from oracles import predicted_support_count, quota_radii
 
 S1 = SketchMatrix(np.eye(1))
@@ -254,6 +259,30 @@ def test_h2_is_the_grid_value_of_the_subsample_quota(shape):
         h0 = fill_distance(qr, S)
         c = next(C_GROWTH ** k for k in range(100) if C_GROWTH ** k * h0 >= needed)
         assert sup.h2 == c * h0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: _quota_radii projects q0 apart from P, so a q0 row "
+           "differs in the last bits from its row of S.project(P), its own "
+           "distance is not exactly 0, and it counts itself as one of its nu "
+           "neighbours (all 180 q0 rows of this recipe at seed 0); h1 reads "
+           "1.4028 instead of 1.5431, one grid step low.  Excluding the point "
+           "by index moves perfbench's recorded ellipses quality past its "
+           "rtol, so the fix waits for ROADMAP item 5")
+def test_h1_excludes_each_seed_point_by_index():
+    """h1 of the ellipses recipe at seed 0 is the grid value of the quota
+    radii on S.project(P), each q0 row's own column left out by index."""
+    spec, cfg = RECIPES["ellipses"]
+    P = make_dataset(spec).points
+    result = run(P, dataclasses.replace(cfg, max_iters=0))
+    sup, idx = result.supports, result.q0_indices
+    Ps = result.sketch.project(P)
+    D = kernels.pairwise_dists(Ps[idx], Ps)
+    D[np.arange(idx.size), idx] = np.inf
+    needed = float(np.partition(D, sup.nu - 1, axis=1)[:, sup.nu - 1].max())
+    c = next(C_GROWTH ** k for k in range(100) if C_GROWTH ** k * sup.h0 >= needed)
+    assert sup.h1 == c * sup.h0
 
 
 def test_reconstruction_larger_than_data_rejected():

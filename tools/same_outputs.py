@@ -1,17 +1,19 @@
-"""Compare the files that canned ``reproduce`` recipes write on two checkouts.
+"""Compare the files that ``reproduce`` recipes and ``gen`` write on two checkouts.
 
     python3 tools/same_outputs.py --parent ../parent --change . \\
         o2 cone cylinder2d "cylinder6d --threads 2" ellipses noise-sweep \\
-        "pca-benchmark --bootstraps 1"
+        "pca-benchmark --bootstraps 1" "gen --kind ellipse_images --count 900"
 
-Each recipe argument is a recipe name, optionally followed by more
-``mlop reproduce`` arguments.  Every recipe runs once per checkout, as its
-own ``python -m mlop.cli reproduce`` process with that checkout's ``src`` on
-``PYTHONPATH``, at ``--override max_iters=5`` and ``OPENBLAS_NUM_THREADS=1``.
-Every output file is then reported equal or different.  ``trace.csv`` is
-compared without its ``wall_ms`` column and ``report.json`` without its
-``runtime_ms`` value; for a report that differs, the keys that differ are
-listed with both values.  A CSV of the same shape that differs gets the
+Each item is a recipe name, optionally followed by more ``mlop reproduce``
+arguments, or ``gen`` followed by ``mlop gen`` arguments other than
+``--out``.  Every item runs once per checkout, as its own
+``python -m mlop.cli`` process with that checkout's ``src`` on
+``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``; a recipe runs at
+``--override max_iters=5``.  Every output file is then reported equal,
+different, or only on one side.  ``trace.csv`` is compared without its
+``wall_ms`` column and ``report.json`` without its ``runtime_ms`` value;
+for a report that differs, the keys that differ are listed with both
+values.  A CSV of the same shape that differs gets the
 largest absolute and relative difference over its numeric cells and the
 count of cells that differ, and a numeric report value that differs gets
 both differences on its line, so a change that moves bits shows how far.
@@ -33,10 +35,13 @@ ABSENT = "absent"
 
 
 def run_recipe(root: Path, recipe: str, out: Path) -> str | None:
-    """Run one recipe on the checkout at root; the error text if it failed."""
+    """Run one item on the checkout at root; the error text if it failed."""
     name, *extra = shlex.split(recipe)
-    cmd = [sys.executable, "-m", "mlop.cli", "reproduce", name, "--out", str(out),
-           "--override", f"max_iters={MAX_ITERS}", *extra]
+    if name == "gen":
+        cmd = [sys.executable, "-m", "mlop.cli", "gen", *extra, "--out", str(out)]
+    else:
+        cmd = [sys.executable, "-m", "mlop.cli", "reproduce", name, "--out", str(out),
+               "--override", f"max_iters={MAX_ITERS}", *extra]
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -131,7 +136,8 @@ def main(argv=None) -> int:
     p.add_argument("--work", type=Path, default=None,
                    help="directory for both sides' outputs (default: a new temporary one)")
     p.add_argument("recipes", nargs="+", help='recipe name and extra arguments, e.g. '
-                                               '"cylinder6d --threads 2"')
+                                               '"cylinder6d --threads 2", or "gen" and '
+                                               'its arguments')
     args = p.parse_args(argv)
 
     work = args.work or Path(tempfile.mkdtemp(prefix="same_outputs_"))
