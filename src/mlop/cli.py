@@ -14,13 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cloud import load_cloud
+from .cloud import load_cloud, write_json
 from .datasets import (DatasetSpec, KINDS, load_dataset_dir, make_dataset,
                        write_dataset)
 from .errors import (CloudFormatError, ConfigError, NumericalAbortError,
                      UnreachableSupportError)
-from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, ExperimentReport,
-                          reproduce, run_experiment, score_cloud)
+from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, MetricsReport, reproduce,
+                          run_experiment, score_cloud)
 from .metrics import sketched_diameter
 from .sketch import load_sketch, sketch_for_run
 
@@ -83,17 +83,10 @@ def cmd_metrics(args) -> int:
     if S.n != n:
         raise ConfigError(f"sketch expects ambient dimension {S.n}, the dataset has {n}")
     err, rel, max_rel, fill, snr = score_cloud(q, ds, S, sketched_diameter(ds.reference, S))
-    report = ExperimentReport(
-        kind=ds.spec.kind,
-        relative_error=rel,
-        rmse=err.rmse,
-        max_rel_error=max_rel,
-        variance=err.variance,
-        fill_distance_final=fill,
-        snr_final=snr,
-        config={"dataset": ds.spec.to_dict()},
-    )
-    report.save(args.out)
+    report = MetricsReport(relative_error=rel, rmse=err.rmse, max_rel_error=max_rel,
+                           variance=err.variance, fill_distance_final=fill, snr_final=snr,
+                           config={"dataset": ds.spec.to_dict()})
+    write_json(args.out, report.to_dict())
     print(f"wrote {args.out}")
     return 0
 

@@ -1,13 +1,15 @@
-"""Point-cloud container and CSV I/O.
+"""Point-cloud container, CSV I/O and the JSON reader and writer.
 
 A cloud is an ordered list of points in R^n stored as a dense (size, n)
 float64 array.  Files are plain CSV: one point per line, comma separated,
 '.' decimal separator, no header, LF line endings, 17 significant digits so
-that save followed by load reproduces every coordinate exactly.
+that save followed by load reproduces every coordinate exactly.  Every JSON
+file goes through ``read_json`` and ``write_json``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,3 +128,20 @@ def write_table(path, header: list[str], rows) -> None:
             fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
                               for v in row))
             fh.write("\n")
+
+
+def read_json(path, error: type[Exception]):
+    """Parse a JSON file; text that is not JSON (or not UTF-8) raises
+    ``error`` naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_json(path, obj) -> None:
+    """Write obj as ASCII JSON: indent 2, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

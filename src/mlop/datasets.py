@@ -14,14 +14,13 @@ No mask is stored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud, load_cloud, save_cloud
+from .cloud import PointCloud, load_cloud, read_json, save_cloud, write_json
 from .errors import CloudFormatError, ConfigError, check_fields, check_seed
 from .metrics import erode_background
 from .rng import Rng
@@ -104,12 +103,7 @@ class DatasetSpec:
     def from_json(cls, path) -> "DatasetSpec":
         """Read a bundle's spec.json; a file that is not JSON raises
         CloudFormatError naming the path, as other malformed bundle files do."""
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CloudFormatError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path, CloudFormatError))
 
 
 @dataclass
@@ -394,9 +388,7 @@ def write_dataset(ds: Dataset, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_cloud(ds.points, out / "P.csv")
     save_cloud(ds.reference, out / "reference.csv")
-    with open(out / "spec.json", "w", encoding="ascii") as fh:
-        json.dump(ds.spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "spec.json", ds.spec.to_dict())
 
 
 def load_dataset_dir(path) -> Dataset:

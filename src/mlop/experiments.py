@@ -7,15 +7,15 @@ the solver and writes a summary table of the headline quantities.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import solver as solver_mod
-from .cloud import PointCloud, save_cloud, write_matrix, write_table
+from .cloud import (PointCloud, read_json, save_cloud, write_json, write_matrix,
+                    write_table)
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import ConfigError, check_fields
 from .metrics import (NearestErrors, background_snr, erode_background,
@@ -26,7 +26,7 @@ from .rng import Rng
 from .sketch import SketchMatrix, save_sketch
 from .solver import SolverConfig, SolverResult, TraceRecord
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -56,12 +56,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path, ConfigError))
 
 # Radius multiplier for local-PCA neighbourhoods: the tangent estimate
 # needs a few rings of neighbours around each point.
@@ -69,37 +64,36 @@ PCA_RADIUS_MULT = 4.0
 
 
 @dataclass
-class ExperimentReport:
-    """Flat record of everything a run is scored on."""
+class MetricsReport:
+    """What ``mlop metrics`` writes: the ``score_cloud`` scores of one cloud
+    and the config of the dataset it was scored against."""
 
-    kind: str
-    relative_error: float | None = None
-    relative_error_initial: float | None = None
-    rmse: float | None = None
-    rmse_initial: float | None = None
-    max_rel_error: float | None = None
-    variance: float | None = None
-    fill_distance_initial: float | None = None
-    fill_distance_final: float | None = None
-    snr_initial: float | None = None
-    snr_final: float | None = None
-    pca_angle_deg: float | None = None
-    runtime_ms: float = 0.0
-    iterations_run: int = 0
-    converged: bool = False
-    max_iters_reached: bool = False
-    supports: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    relative_error: float
+    rmse: float
+    max_rel_error: float
+    variance: float
+    fill_distance_final: float | None
+    snr_final: float | None
+    config: dict
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schema_version"] = REPORT_SCHEMA_VERSION
-        return d
+        return dict(asdict(self), schema_version=REPORT_SCHEMA_VERSION)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+@dataclass
+class ExperimentReport(MetricsReport):
+    """A run's report.json: the scores of Q_final and of q0, how the run went
+    (one that did not converge stopped at ``max_iters``), its supports, and
+    in ``config`` its dataset and solver settings."""
+
+    relative_error_initial: float
+    rmse_initial: float
+    fill_distance_initial: float | None
+    snr_initial: float | None
+    runtime_ms: float
+    iterations_run: int
+    converged: bool
+    supports: dict
 
 
 def score_cloud(cloud: PointCloud, ds: Dataset, S: SketchMatrix, diameter: float,
@@ -136,7 +130,6 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
     err1, rel1, max_rel1, fill1, snr1 = score_cloud(result.q_final, ds, S, diameter,
                                                     threads=config.threads)
     report = ExperimentReport(
-        kind=ds.spec.kind,
         relative_error=rel1,
         relative_error_initial=rel0,
         rmse=err1.rmse,
@@ -150,7 +143,6 @@ def score_run(ds: Dataset, result: SolverResult, config: SolverConfig,
         runtime_ms=runtime_ms,
         iterations_run=result.iterations_run,
         converged=result.converged,
-        max_iters_reached=(not result.converged and result.iterations_run >= config.max_iters),
         supports=result.supports.to_dict(),
         config={"dataset": ds.spec.to_dict(), "solver": config.to_dict()},
     )
@@ -171,7 +163,7 @@ def run_experiment(ds: Dataset, config: SolverConfig,
                 [[*astuple(rec)[:-1], format(rec.wall_ms, ".3f")]
                  for rec in result.trace])
     save_sketch(result.sketch, out / "sketch.csv")
-    report.save(out / "report.json")
+    write_json(out / "report.json", report.to_dict())
     # per-point nearest-reference distances, plot-ready
     write_matrix(err1.dists[:, None], out / "errors.csv")
     return report, result
@@ -236,9 +228,8 @@ def reproduce(name: str, out_root, seed: int = 0, threads: int = 1,
     for key in ("seed", "threads"):
         if key in overrides:
             raise ConfigError(f"override {key!r} is not supported; use --{key}")
+    # the recipe's directory is made by its first write, after its settings pass
     out = Path(out_root) / name.replace("-", "_")
-    out.mkdir(parents=True, exist_ok=True)
-
     if name == "noise-sweep":
         return _reproduce_noise_sweep(out, seed, threads, overrides)
     if name == "pca-benchmark":
@@ -335,6 +326,7 @@ def _reproduce_pca_benchmark(out: Path, seed: int, threads: int, overrides: dict
     if overrides:
         raise ConfigError(f"unknown overrides for pca-benchmark: {sorted(overrides)}")
     summary = pca_benchmark(seed=seed, threads=threads, bootstraps=bootstraps, **kwargs)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for sigma, vals in summary.items():
         for name in ("clean_random", "noisy", "denoised"):

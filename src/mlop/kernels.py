@@ -7,7 +7,7 @@ the per-entry error of the GEMM form |x|^2 + |y|^2 - 2 x.y in R^m:
 - The Q-P block of the attraction (``attraction_forces``/``attraction_cost``)
   is the GEMM form of the rows centred on the mean of Ps, so |x| and |y| are
   distances from the data's mean and each entry is off by at most tol.  The
-  coefficients are smooth at d = 0, where H = sqrt(d^2 + eps) keeps eps
+  coefficients are smooth at d = 0, where H = sqrt(d^2 + EPS_H) keeps EPS_H
   above any such error, so no entry is remeasured.
 - The Q-Q self block (``repulsion_forces``/``repulsion_cost`` and
   ``self_nn_dists``) is the GEMM form of the rows centred on their mean,
@@ -56,6 +56,9 @@ CHUNK = 64
 # A self-block entry below this many times its GEMM error bound is remeasured
 # by exact differences, so no entry the forces use is off by 1e-8 of itself.
 REMEASURE_K = 1e8
+
+# LOP's smoothing of the attraction distance, H = sqrt(d^2 + EPS_H).
+EPS_H = 0.1
 
 
 def backend_name() -> str:
@@ -151,11 +154,11 @@ def _guard_coincident(d2, i0, delta_min):
         )
 
 
-def _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, eps, cutsq, i0, i1, out=None):
+def _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, cutsq, i0, i1, out=None):
     """Energy sum(H w) of rows i0:i1 and, given ``out``, their forces."""
     d2 = _gemm_sq_dists(Qc[i0:i1], q2[i0:i1], Pc, p2)
     w = np.exp(-d2 / h1sq)
-    H = np.sqrt(d2 + eps)
+    H = np.sqrt(d2 + EPS_H)
     # a NaN distance stays out of the energy but NaN in the forces, where
     # the solver's finite-gradient check sees it
     energy = float((H * w)[d2 <= cutsq].sum())
@@ -166,7 +169,7 @@ def _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, eps, cutsq, i0, i1, out=None):
     return energy
 
 
-def _attraction(Q, P, Qs, Ps, h1, eps, cutoff, threads, out=None):
+def _attraction(Q, P, Qs, Ps, h1, cutoff, threads, out=None):
     """The attraction energy of all rows and, given ``out``, their forces.
 
     Both blocks are centred on the mean of Ps, so the GEMM error depends on
@@ -176,7 +179,7 @@ def _attraction(Q, P, Qs, Ps, h1, eps, cutoff, threads, out=None):
     (Qc, q2, _), (Pc, p2, _) = _centred(Qs, centre), _centred(Ps, centre)
     h1sq, cutsq = h1 * h1, cutoff * cutoff
     parts = _run_chunks(
-        lambda i0, i1: _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, eps, cutsq, i0, i1, out),
+        lambda i0, i1: _attraction_np(Q, P, Qc, q2, Pc, p2, h1sq, cutsq, i0, i1, out),
         Qs.shape[0], threads)
     return float(sum(parts))
 
@@ -288,7 +291,7 @@ def _radius_np(X, Ys, y2, ymax, r2):
 # ---------------------------------------------------------------------------
 
 
-def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1):
+def attraction_forces(Q, P, Qs, Ps, h1: float, cutoff: float, threads: int = 1):
     """Per reconstruction point, the data-term force sum(alpha_j (q - p_j)),
     and from the same distance blocks the attraction energy: returns
     (forces, energy) with energy equal to ``attraction_cost(Qs, Ps, ...)``
@@ -297,13 +300,13 @@ def attraction_forces(Q, P, Qs, Ps, h1: float, eps: float, cutoff: float, thread
     Q, P are full-dimension rows; Qs, Ps their sketched projections.  Pairs
     beyond ``cutoff`` in sketched distance are skipped.  The coefficients
     are the median-pull weights alpha_j = w_j / H_j, with the Gaussian weight
-    w_j = exp(-d^2 / h1^2) and the smoothed distance H_j = sqrt(d^2 + eps):
+    w_j = exp(-d^2 / h1^2) and the smoothed distance H_j = sqrt(d^2 + EPS_H):
     the Weiszfeld step of a weighted L1 median with the weights held fixed,
     always positive, so every configuration stays attracted to the data.
     tests/oracles.py holds its per-point scalar reference.
     """
     out = np.empty_like(Q)
-    return out, _attraction(Q, P, Qs, Ps, h1, eps, cutoff, threads, out)
+    return out, _attraction(Q, P, Qs, Ps, h1, cutoff, threads, out)
 
 
 def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads: int = 1,
@@ -321,10 +324,10 @@ def repulsion_forces(Q, Qs, h2: float, cutoff: float, delta_min: float, threads:
     return out, nn, _repulsion(Q, Qs, h2, cutoff, delta_min, threads, out, nn, weights)
 
 
-def attraction_cost(Qs, Ps, h1: float, eps: float, cutoff: float, threads: int = 1) -> float:
-    """The attraction energy sum_{i,j} sqrt(d^2 + eps) exp(-d^2 / h1^2) over
+def attraction_cost(Qs, Ps, h1: float, cutoff: float, threads: int = 1) -> float:
+    """The attraction energy sum_{i,j} sqrt(d^2 + EPS_H) exp(-d^2 / h1^2) over
     pairs within ``cutoff``, without the forces."""
-    return _attraction(None, None, Qs, Ps, h1, eps, cutoff, threads)
+    return _attraction(None, None, Qs, Ps, h1, cutoff, threads)
 
 
 def repulsion_cost(Qs, lam, h2: float, cutoff: float, delta_min: float,

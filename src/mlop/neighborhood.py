@@ -32,20 +32,20 @@ C_MAX = 64.0
 class SupportParams:
     """Neighbourhood geometry bundle.
 
-    h0 is the fill-distance of the data; c1 the smallest grid multiplier
-    covering the quota; h_hat0 = c1 * h0; h1/h2 the attraction/repulsion
-    support sizes.  All radii are sketched-metric quantities.
+    h0 is the fill-distance of the data; nu = floor(J / I) the support
+    quota; c1 the smallest grid multiplier covering the quota; h1 = c1 * h0
+    the attraction support size and h2 the repulsion support size.  All
+    radii are sketched-metric quantities.
     """
 
     h0: float
     nu: int
     c1: float
-    h_hat0: float
     h1: float
     h2: float
 
     def __post_init__(self):
-        values = (self.h0, self.c1, self.h_hat0, self.h1, self.h2)
+        values = (self.h0, self.c1, self.h1, self.h2)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValueError(f"support parameters must be finite and positive: {self}")
         if self.nu < 1:
@@ -154,4 +154,4 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams
         _, h2 = _grid_radius(float(np.median(nn)), float(nn.max()))
     else:
         h2 = h1
-    return SupportParams(h0=h0, nu=nu, c1=c1, h_hat0=h1, h1=h1, h2=h2)
+    return SupportParams(h0=h0, nu=nu, c1=c1, h1=h1, h2=h2)

@@ -9,7 +9,8 @@ Step sizes follow the Barzilai-Borwein rule with a floor, and the per-point
 balance weights are fixed at the first iteration so the two force terms
 start with equal sketched magnitude.
 
-The attraction is the median-pull field, with coefficients w / H > 0: the
+The attraction is the median-pull field, with coefficients w / H > 0 and
+H = sqrt(d^2 + kernels.EPS_H), the smoothed distance of LOP: the
 derivative of the smoothed-distance energy with its Gaussian weights w held
 fixed, i.e. the Weiszfeld step of a weighted L1 median and the
 majorize-minimize treatment of such energies.  It keeps every configuration
@@ -48,9 +49,6 @@ logger = logging.getLogger(__name__)
 # Absolute guard below which two points count as coincident for the
 # repulsion singularity; runs use the tighter 1e-9 * h2.
 ETA_GUARD = 1e-12
-
-# Smoothing of the attraction distance, sqrt(d^2 + eps), as in LOP.
-EPS_H = 0.1
 
 # Pairs farther apart than this multiple of their support carry a Gaussian
 # weight below e^-8 and are skipped.
@@ -103,11 +101,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunParams:
-    """Derived per-run constants: supports, smoothing, cutoffs, guard."""
+    """Derived per-run constants: supports, cutoffs, guard.  The attraction's
+    smoothing is the constant ``kernels.EPS_H``."""
 
     h1: float
     h2: float
-    eps: float
     cutoff1: float
     cutoff2: float
     delta_min: float
@@ -117,7 +115,6 @@ class RunParams:
         return cls(
             h1=supports.h1,
             h2=supports.h2,
-            eps=EPS_H,
             cutoff1=CUTOFF_MULT * supports.h1,
             cutoff2=CUTOFF_MULT * supports.h2,
             delta_min=max(1e-9 * supports.h2, ETA_GUARD),
@@ -128,7 +125,7 @@ def cost(Qs, Ps, rp: RunParams, lam, threads: int = 1) -> float:
     """Total energy G(Q) from the sketched rows Qs, Ps: attraction plus the
     balance-weighted crowding penalty.
 
-    The attraction term is sum_{i,j} sqrt(d^2 + eps) w(d); the crowding term
+    The attraction term is sum_{i,j} sqrt(d^2 + EPS_H) w(d); the crowding term
     is sum_i (-lam_i) sum_{i' != i} eta(d) w_hat(d) with eta(r) = 1 / (3 r^3).
     With the stored non-positive lam its coefficient is |lam_i|, so the
     energy is bounded toward spreading instead of rewarding collapse.
@@ -136,7 +133,7 @@ def cost(Qs, Ps, rp: RunParams, lam, threads: int = 1) -> float:
     it for the first iteration only; later iterations take the same value,
     bit for bit, from their force passes.
     """
-    e1 = kernels.attraction_cost(Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
+    e1 = kernels.attraction_cost(Qs, Ps, rp.h1, rp.cutoff1, threads)
     weights = -np.ascontiguousarray(lam, dtype=np.float64)
     e2 = kernels.repulsion_cost(Qs, weights, rp.h2, rp.cutoff2, rp.delta_min, threads)
     return e1 + e2
@@ -255,8 +252,8 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         t0 = time.perf_counter()
         Qs = Q @ S.s
         try:
-            attr, e_att = kernels.attraction_forces(Q, P.points, Qs, Ps, rp.h1, rp.eps,
-                                                    rp.cutoff1, threads)
+            attr, e_att = kernels.attraction_forces(Q, P.points, Qs, Ps, rp.h1, rp.cutoff1,
+                                                    threads)
             rep, nn, e_rep = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min,
                                                       threads, weights)
         except CoincidentPointsError as exc:

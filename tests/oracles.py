@@ -176,7 +176,7 @@ def gradient_at(i: int, Q, P, lam, rp: RunParams, S: SketchMatrix,
     q = Q[i]
     attr = np.zeros_like(q)
     for p in P:
-        a = coeff(q, p, rp.h1, rp.eps, S, cutoff=rp.cutoff1)
+        a = coeff(q, p, rp.h1, kernels.EPS_H, S, cutoff=rp.cutoff1)
         if a != 0.0:
             attr += a * (q - p)
     rep = np.zeros_like(q)
@@ -217,7 +217,7 @@ def point_cost(i: int, q, Q, P, lam_i: float, rp: RunParams, S: SketchMatrix,
     dw = dp if frozen_at is None else np.linalg.norm((P - frozen_at) @ S.s, axis=1)
     keep = dw <= rp.cutoff1
     dp, dw = dp[keep], dw[keep]
-    e1 = float(np.sum(np.sqrt(dp * dp + rp.eps) * np.exp(-dw * dw / rp.h1 ** 2)))
+    e1 = float(np.sum(np.sqrt(dp * dp + kernels.EPS_H) * np.exp(-dw * dw / rp.h1 ** 2)))
     others = np.delete(Q, i, axis=0)
     dq = np.linalg.norm((others - q) @ S.s, axis=1)
     if dq.size and dq.min() <= rp.delta_min:
@@ -232,7 +232,7 @@ def descended_field(Q, P, lam, rp: RunParams, S: SketchMatrix, threads: int = 1)
     """All points' descent field from the batch kernels, assembled as
     solver.run assembles it."""
     Qs, Ps = S.project(Q), S.project(P)
-    attr, _ = kernels.attraction_forces(Q, P, Qs, Ps, rp.h1, rp.eps, rp.cutoff1, threads)
+    attr, _ = kernels.attraction_forces(Q, P, Qs, Ps, rp.h1, rp.cutoff1, threads)
     rep, _, _ = kernels.repulsion_forces(Q, Qs, rp.h2, rp.cutoff2, rp.delta_min, threads)
     return attr + np.asarray(lam)[:, None] * rep
 

@@ -44,8 +44,7 @@ def report(criterion, passed, detail):
 
 def test_criterion_1_gradient_oracle():
     S = SketchMatrix(np.eye(8))
-    rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=math.inf, cutoff2=math.inf,
-                   delta_min=1e-12)
+    rp = RunParams(h1=1.5, h2=1.5, cutoff1=math.inf, cutoff2=math.inf, delta_min=1e-12)
     step = 1e-6
     t0 = time.perf_counter()
     worst = 0.0
@@ -280,7 +279,7 @@ def test_criterion_8_property_suites():
     rp = RunParams.from_supports(short.supports)
     Q0 = pts.points[short.q0_indices]
     attr, _ = kernels.attraction_forces(Q0, pts.points, Q0 @ S.s, pts.points @ S.s,
-                                        rp.h1, rp.eps, rp.cutoff1)
+                                        rp.h1, rp.cutoff1)
     rep, _, _ = kernels.repulsion_forces(Q0, Q0 @ S.s, rp.h2, rp.cutoff2, rp.delta_min)
     an = np.linalg.norm(attr @ S.s, axis=1)
     rn = np.linalg.norm(rep @ S.s, axis=1)

@@ -69,18 +69,29 @@ def test_gen_too_few_samples_config_error(tmp_path, capsys):
 # the quantities a report holds about the final cloud
 FINAL_FIELDS = ("relative_error", "rmse", "max_rel_error", "variance", "fill_distance_final",
                 "snr_final")
+# every key of a metrics report: the final-cloud scores and what they are
+METRICS_KEYS = {*FINAL_FIELDS, "config", "schema_version"}
+# every key of a run's report.json (schema 2) and of its supports
+RUN_KEYS = {*METRICS_KEYS, "relative_error_initial", "rmse_initial", "fill_distance_initial",
+            "snr_initial", "runtime_ms", "iterations_run", "converged", "supports"}
+SUPPORTS_KEYS = {"h0", "nu", "c1", "h1", "h2"}
 
 
 def rescore_matches_report(tmp_path, data, out) -> dict:
     """Re-score a run's Q_final with its sketch.csv; every final-cloud field
-    of the run's report is reproduced exactly.  Returns the re-scored report."""
+    of the run's report is reproduced exactly, and the re-scored report
+    holds nothing else but its dataset config and schema version.  Returns
+    the re-scored report."""
     rescored = tmp_path / "rescore.json"
     assert main(["metrics", "--dataset-dir", str(data), "--q", str(out / "Q_final.csv"),
                  "--sketch", str(out / "sketch.csv"), "--out", str(rescored)]) == 0
     report = json.loads((out / "report.json").read_text())
     r3 = json.loads(rescored.read_text())
+    assert set(r3) == METRICS_KEYS
     for key in FINAL_FIELDS:
         assert r3[key] == report[key], key
+    assert r3["config"] == {"dataset": report["config"]["dataset"]}
+    assert r3["schema_version"] == report["schema_version"] == 2
     return r3
 
 
@@ -92,8 +103,10 @@ def test_run_and_rescore(tmp_path):
     for name in ("Q_final.csv", "trace.csv", "report.json", "sketch.csv", "errors.csv"):
         assert (out / name).exists()
     report = json.loads((out / "report.json").read_text())
-    assert report["schema_version"] == 1
-    assert report["max_iters_reached"] is True
+    assert set(report) == RUN_KEYS
+    assert set(report["supports"]) == SUPPORTS_KEYS
+    assert set(report["config"]) == {"dataset", "solver"}
+    assert report["converged"] is False and report["iterations_run"] == 3
     assert report["relative_error"] >= 0.0
 
     # re-run: identical report except wall-clock
@@ -233,6 +246,28 @@ def test_malformed_bundle_spec_io_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "metrics"])
+def test_non_utf8_json_names_the_file(tmp_path, capsys, command):
+    """A bundle spec.json (exit 4) or a run config (exit 2) that is not
+    UTF-8 is reported like any other text that is not JSON."""
+    data = tmp_path / "data"
+    main(gen_args(data))
+    spec = data / "spec.json"
+    spec.write_bytes(b'{"kind": "grid_line\xff"}')
+    config = run_config(tmp_path, data, tmp_path / "out")
+    if command == "run":
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = ["metrics", "--dataset-dir", str(data), "--q", str(data / "P.csv"),
+                "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 4
+    assert f"{spec}: not valid JSON" in capsys.readouterr().err
+    if command == "run":
+        config.write_bytes(config.read_bytes().replace(b'"out_dir"', b'"out\xff"'))
+        assert main(argv) == 2
+        assert f"{config}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "metrics"])
 def test_bundle_spec_with_retired_key_config_error(tmp_path, capsys, command):
     data = tmp_path / "data"
     main(gen_args(data))
@@ -305,6 +340,13 @@ def test_reproduce_rejects_bad_override(tmp_path):
     code = main(["reproduce", "cylinder2d", "--out", str(tmp_path),
                  "--override", "zap=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["o2", "noise-sweep", "pca-benchmark"])
+def test_rejected_reproduce_leaves_no_directory(tmp_path, name):
+    out = tmp_path / "runs"
+    assert main(["reproduce", name, "--out", str(out), "--override", "bogus=1"]) == 2
+    assert not out.exists()
 
 
 def test_out_root_env(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ def instance(seed=0, I=50, J=120, n=20, m=6):
 
 def test_thread_count_bitwise_invariance():
     Q, P, Qs, Ps = instance(4, I=200)
-    outs = [kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 0.1, 2.0, threads=t)[0]
+    outs = [kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 2.0, threads=t)[0]
             for t in (1, 2, 4)]
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
@@ -40,8 +40,8 @@ def test_force_passes_price_the_cost_kernels_energy(threads):
     # I = 130 spans three chunks; the energy comes from the force blocks
     Q, P, Qs, Ps = instance(8, I=130)
     w = np.abs(np.random.default_rng(9).normal(size=130))
-    _, e_att = kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 0.1, 2.0, threads=threads)
-    assert e_att == kernels.attraction_cost(Qs, Ps, 1.3, 0.1, 2.0, threads=threads)
+    _, e_att = kernels.attraction_forces(Q, P, Qs, Ps, 1.3, 2.0, threads=threads)
+    assert e_att == kernels.attraction_cost(Qs, Ps, 1.3, 2.0, threads=threads)
     rep, nn, e_rep = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads, weights=w)
     assert e_rep == kernels.repulsion_cost(Qs, w, 1.1, 3.0, 1e-12, threads=threads)
     bare_rep, bare_nn, bare_e = kernels.repulsion_forces(Q, Qs, 1.1, 3.0, 1e-12, threads)
@@ -54,8 +54,8 @@ def test_cutoff_short_circuits():
     Q = np.zeros((2, 3))
     Q[1] = 100.0
     P = np.vstack([np.eye(3) * 0.1, 100.0 + np.eye(3) * 0.1])
-    out, _ = kernels.attraction_forces(Q, P, Q, P, 1.0, 0.1, cutoff=5.0)
-    near_only, _ = kernels.attraction_forces(Q[:1], P[:3], Q[:1], P[:3], 1.0, 0.1, cutoff=5.0)
+    out, _ = kernels.attraction_forces(Q, P, Q, P, 1.0, cutoff=5.0)
+    near_only, _ = kernels.attraction_forces(Q[:1], P[:3], Q[:1], P[:3], 1.0, cutoff=5.0)
     assert np.allclose(out[0], near_only[0])
 
 
@@ -117,14 +117,6 @@ def test_min_dists_row_of_reference_is_exactly_zero():
     out, idx = kernels.min_dists(Xs, Xs)
     assert np.all(out == 0.0)
     assert np.array_equal(idx, np.arange(150))
-
-
-def test_min_dists_thread_count_bitwise_invariance():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(200, 6))
-    Y = rng.normal(size=(300, 6))
-    assert np.array_equal(kernels.min_dists(X, Y, threads=1)[0],
-                          kernels.min_dists(X, Y, threads=2)[0])
 
 
 def test_min_dists_near_tie_matches_brute_force():

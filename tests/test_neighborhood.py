@@ -203,7 +203,6 @@ def test_estimate_supports_nu_floor():
     sup = estimate_supports(pts, 163, S, rng, q0)
     assert sup.nu == 5
     assert sup.h1 > 0 and sup.h2 > 0
-    assert sup.h_hat0 == sup.h1
 
 
 def test_estimate_supports_equal_sizes():
@@ -292,9 +291,9 @@ def test_reconstruction_larger_than_data_rejected():
 
 def test_support_params_validation():
     with pytest.raises(ValueError):
-        SupportParams(h0=0.0, nu=1, c1=1.0, h_hat0=1.0, h1=1.0, h2=1.0)
+        SupportParams(h0=0.0, nu=1, c1=1.0, h1=1.0, h2=1.0)
     with pytest.raises(ValueError):
-        SupportParams(h0=1.0, nu=0, c1=1.0, h_hat0=1.0, h1=1.0, h2=1.0)
+        SupportParams(h0=1.0, nu=0, c1=1.0, h1=1.0, h2=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlop import kernels
 from mlop.cloud import PointCloud
 from mlop.datasets import DatasetSpec, gen_grid_line, make_dataset
 from mlop.errors import CoincidentPointsError, ConfigError, NumericalAbortError
@@ -18,8 +19,7 @@ from oracles import (attraction_coeff, bb_step, descended_field, eta, eta_abs_de
 S8 = SketchMatrix(np.eye(8))
 S2 = SketchMatrix(np.eye(2))
 
-OPEN_PARAMS = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=math.inf,
-                        cutoff2=math.inf, delta_min=1e-12)
+OPEN_PARAMS = RunParams(h1=1.5, h2=1.5, cutoff1=math.inf, cutoff2=math.inf, delta_min=1e-12)
 
 
 def small_instance(seed, J=20, I=5, n=8):
@@ -129,7 +129,7 @@ def test_descended_field_matches_median_pull_oracle(threads):
     P, Q = rng.normal(size=(150, 8)), rng.normal(size=(130, 8))
     S = SketchMatrix(np.linalg.qr(rng.normal(size=(8, 5)))[0])
     lam = -np.abs(np.random.default_rng(13).normal(size=Q.shape[0]))
-    rp = RunParams(h1=1.2, h2=1.4, eps=0.1, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
+    rp = RunParams(h1=1.2, h2=1.4, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
     for offset in (0.0, 1e3):
         field = descended_field(Q + offset, P + offset, lam, rp, S, threads=threads)
         for i in range(Q.shape[0]):
@@ -161,7 +161,7 @@ def test_median_pull_is_half_the_gradient_of_the_erfc_energy():
     F(s) = -h1 sqrt(pi) e^(eps / h1^2) erfc(sqrt(s + eps) / h1), whose
     derivative F'(s) = e^(-s / h1^2) / sqrt(s + eps) is the coefficient w / H."""
     P, Q = small_instance(23)
-    h1, eps = OPEN_PARAMS.h1, OPEN_PARAMS.eps
+    h1, eps = OPEN_PARAMS.h1, kernels.EPS_H
     scale = -h1 * math.sqrt(math.pi) * math.exp(eps / h1 ** 2)
 
     def e_att(q):
@@ -204,9 +204,8 @@ def test_init_lambda_warns_on_isolated(caplog):
 
 def test_balance_equality_at_init():
     P, Q = small_instance(14)
-    rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=4.0, cutoff2=4.0, delta_min=1e-12)
-    from mlop import kernels
-    attr, _ = kernels.attraction_forces(Q, P, Q @ S8.s, P @ S8.s, rp.h1, rp.eps, rp.cutoff1)
+    rp = RunParams(h1=1.5, h2=1.5, cutoff1=4.0, cutoff2=4.0, delta_min=1e-12)
+    attr, _ = kernels.attraction_forces(Q, P, Q @ S8.s, P @ S8.s, rp.h1, rp.cutoff1)
     rep, _, _ = kernels.repulsion_forces(Q, Q @ S8.s, rp.h2, rp.cutoff2, rp.delta_min)
     lam = init_lambda(attr, rep, S8)
     an = np.linalg.norm(attr @ S8.s, axis=1)
@@ -249,13 +248,13 @@ def test_bb_steps_vectorized_matches_scalar():
 def test_cost_single_term():
     P = np.zeros((1, 8))
     Q = np.zeros((1, 8))
-    rp = RunParams(h1=1.0, h2=1.0, eps=0.1, cutoff1=3.0, cutoff2=3.0, delta_min=1e-12)
+    rp = RunParams(h1=1.0, h2=1.0, cutoff1=3.0, cutoff2=3.0, delta_min=1e-12)
     assert cost(Q @ S8.s, P @ S8.s, rp, lam=np.zeros(1)) == pytest.approx(math.sqrt(0.1))
 
 
 def test_cost_linear_in_lambda():
     P, Q = small_instance(16)
-    rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=5.0, cutoff2=5.0, delta_min=1e-12)
+    rp = RunParams(h1=1.5, h2=1.5, cutoff1=5.0, cutoff2=5.0, delta_min=1e-12)
     lam = -np.abs(np.random.default_rng(17).normal(size=Q.shape[0]))
     Qs, Ps = Q @ S8.s, P @ S8.s
     e1 = cost(Qs, Ps, rp, lam=np.zeros_like(lam))
@@ -267,7 +266,7 @@ def test_cost_linear_in_lambda():
 def test_cost_matches_per_point_energy():
     # G(Q) is the sum of the per-point energies of the oracle
     P, Q = small_instance(19)
-    rp = RunParams(h1=1.5, h2=1.5, eps=0.1, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
+    rp = RunParams(h1=1.5, h2=1.5, cutoff1=2.5, cutoff2=3.0, delta_min=1e-12)
     lam = -np.abs(np.random.default_rng(20).normal(size=Q.shape[0]))
     total = sum(point_cost(i, Q[i], Q, P, lam[i], rp, S8) for i in range(Q.shape[0]))
     assert cost(Q @ S8.s, P @ S8.s, rp, lam) == pytest.approx(total, rel=1e-12)
@@ -275,7 +274,7 @@ def test_cost_matches_per_point_energy():
 
 def test_cost_rejects_coincident_points():
     Q = np.zeros((2, 8))
-    rp = RunParams(h1=1.0, h2=1.0, eps=0.1, cutoff1=3.0, cutoff2=3.0, delta_min=1e-9)
+    rp = RunParams(h1=1.0, h2=1.0, cutoff1=3.0, cutoff2=3.0, delta_min=1e-9)
     with pytest.raises(CoincidentPointsError):
         cost(Q @ S8.s, np.ones((3, 8)) @ S8.s, rp, lam=-np.ones(2))
 
@@ -353,7 +352,6 @@ def test_around_point_init():
 def test_iterations_make_no_self_nn_scan(monkeypatch):
     # the trace's fill distance comes from the repulsion pass; the only
     # self-NN scans are the support estimate's
-    from mlop import kernels
     pts = PointCloud(np.random.default_rng(22).normal(size=(60, 8)))
     calls = []
     scan = kernels.self_nn_dists
