@@ -140,41 +140,74 @@ def erode_background(masks: np.ndarray) -> np.ndarray:
     return inner.reshape(masks.shape[0], -1)
 
 
-# Covariances per stacked eigh call, which bounds memory at 64 n x n blocks.
+# Sets per stacked eigh call, which bounds memory at 64 sets' matrices.
 _EIGH_BATCH = 64
 
 
-def _top_eigenvector(vals, vecs) -> np.ndarray:
-    # v stays a strided column view of vecs (or its negation): np.dot of a
-    # contiguous copy can differ in the last bit through BLAS's strided path
-    if vals[-1] <= 0:
-        raise ValueError("degenerate neighborhood: all points coincide")
-    v = vecs[:, -1]
-    nz = np.flatnonzero(v)
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+def _principal_axes(Z: np.ndarray):
+    """The centred rows of Z in the coordinates of its principal axes, and
+    those axes as the orthonormal columns of V: ``(Zc @ V, V)``.
 
-
-def principal_directions(point_sets) -> list:
-    """Per point set, the first eigenvector of its mean-centered covariance,
-    canonicalized: the largest eigenvalue wins, and of v and -v the one whose
-    first nonzero component is positive is returned, so repeated runs agree
-    bit for bit.
-
-    The covariances are stacked into batched np.linalg.eigh calls (the same
-    LAPACK routine per matrix, so each vector has the bits of a single call).
-    ``point_sets`` may be a generator: only one set of points is held at a
-    time.  A set whose points all coincide raises ValueError.
+    The axes are the eigenvectors of Zcᵀ Zc whose eigenvalue exceeds
+    n · eps · λ_max, with n the ambient dimension and λ_max the largest
+    eigenvalue.  The rows' sum of squares along an axis left out is below
+    that threshold, which is the size of the rounding error in Zcᵀ Zc and
+    in its eigenvalues (eps · λ_max, up to a factor of the dimension): those
+    axes carry rounding, not data, and no subset of the rows has more of
+    them than the whole cloud.  A cloud in an r-dimensional affine subspace
+    keeps r axes; an all-coincident one keeps none.
     """
-    covs = []
-    for pts in point_sets:
-        centered = pts - pts.mean(axis=0)
-        covs.append(centered.T @ centered / pts.shape[0])
-    out = []
-    for k0 in range(0, len(covs), _EIGH_BATCH):
-        vals, vecs = np.linalg.eigh(np.stack(covs[k0:k0 + _EIGH_BATCH]))
-        out.extend(_top_eigenvector(vals[k], vecs[k]) for k in range(vals.shape[0]))
+    Zc = Z - Z.mean(axis=0)
+    vals, vecs = np.linalg.eigh(Zc.T @ Zc)
+    V = vecs[:, vals > Z.shape[1] * np.finfo(np.float64).eps * vals[-1]]
+    return Zc @ V, V
+
+
+def principal_directions(cloud, index_lists) -> list:
+    """Per index list, the first eigenvector of the mean-centred covariance
+    of those rows of ``cloud``, canonicalized: the largest eigenvalue wins,
+    and of v and -v the one whose first nonzero component is positive is
+    returned.
+
+    The cloud is centred once and written in its r principal axes
+    (_principal_axes); an axis it leaves out holds only rounding, so the
+    vectors differ from those of the full n x n covariance in rounding
+    alone.  A set of k rows then takes the top eigenvector u of the smaller
+    eigenproblem: the k x k Gram matrix Yc Ycᵀ of its centred coordinates
+    Yc when k < r, lifted as V Ycᵀ u, and the r x r matrix Ycᵀ Yc
+    otherwise, lifted as V u.  Both have the covariance's nonzero
+    eigenpairs.  The matrices are stacked by size into batched
+    np.linalg.eigh calls (the same LAPACK routine per matrix), so each
+    vector has the bits it gets when its set is computed alone.  A set
+    whose rows all coincide raises ValueError.
+    """
+    if not index_lists:
+        return []
+    Y, V = _principal_axes(as_points(cloud))
+    r = V.shape[1]
+    if r == 0:
+        raise ValueError("degenerate neighborhood: all points coincide")
+    sizes = np.array([min(len(idx), r) for idx in index_lists])
+    out = [None] * len(index_lists)
+    for m in np.unique(sizes):
+        members = np.flatnonzero(sizes == m)
+        for c0 in range(0, members.size, _EIGH_BATCH):
+            chunk = members[c0:c0 + _EIGH_BATCH]
+            centred = []
+            for j in chunk:
+                Yk = Y[index_lists[j]]
+                centred.append(Yk - Yk.mean(axis=0))
+            gram = m < r
+            vals, vecs = np.linalg.eigh(np.stack([Yc @ Yc.T if gram else Yc.T @ Yc
+                                                  for Yc in centred]))
+            for b, (j, Yc) in enumerate(zip(chunk, centred)):
+                if vals[b, -1] <= 0:
+                    raise ValueError("degenerate neighborhood: all points coincide")
+                u = vecs[b, :, -1]
+                v = V @ (Yc.T @ u if gram else u)
+                v /= np.linalg.norm(v)
+                nz = np.flatnonzero(v)
+                out[j] = -v if nz.size and v[nz[0]] < 0 else v
     return out
 
 
@@ -214,20 +247,29 @@ def local_pca_angle_error(X, reference, h: float, S: SketchMatrix) -> PcaAngleRe
     measured by exact differences (kernels.radius_pairs, min_dists).  A
     reference tangent is computed once per distinct nearest reference
     point, and only for points whose own neighbourhood is large enough.
+    Each side's tangents come from one principal_directions call over its
+    whole cloud: the cloud's principal axes above n · eps · λ_max (which
+    leave out rounding only, so the angles move by rounding at most), then
+    per neighbourhood the smaller of its Gram and covariance eigenproblems.
+    An empty X or reference raises ValueError.
     """
     xs_full = as_points(X)
     ref_full = as_points(reference)
+    if ref_full.shape[0] == 0:
+        raise ValueError("reference cloud is empty")
+    if xs_full.shape[0] == 0:
+        raise ValueError("evaluated cloud X is empty")
     xs = S.project(xs_full)
     rs = S.project(ref_full)
     n = xs.shape[0]
     _, nearest_ref = kernels.min_dists(xs, rs)
     x_nbrs = _radius_neighbours(xs, xs, h, np.arange(n))
     evaluated = [i for i in range(n) if x_nbrs[i].size >= PCA_MIN_NEIGHBORS]
-    v_xs = principal_directions(xs_full[x_nbrs[i]] for i in evaluated)
+    v_xs = principal_directions(xs_full, [x_nbrs[i] for i in evaluated])
     refs = np.unique(nearest_ref[evaluated])
     r_nbrs = _radius_neighbours(rs[refs], rs, h, refs)
     kept = [k for k in range(refs.size) if r_nbrs[k].size >= PCA_MIN_NEIGHBORS]
-    v_refs = principal_directions(ref_full[r_nbrs[k]] for k in kept)
+    v_refs = principal_directions(ref_full, [r_nbrs[k] for k in kept])
     tangent = {int(refs[k]): v for k, v in zip(kept, v_refs)}
     errors = []
     for i, v_x in zip(evaluated, v_xs):

@@ -135,11 +135,11 @@ def test_principal_direction_canonical():
     rng = np.random.default_rng(4)
     t = rng.normal(size=40)
     pts = np.outer(t, [1.0, -2.0, 0.5]) + 0.01 * rng.normal(size=(40, 3))
-    v, = principal_directions([pts])
+    v, = principal_directions(pts, [np.arange(40)])
     assert v[0] > 0  # canonical sign: first nonzero component positive
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="degenerate"):
-        principal_directions([np.ones((5, 3))])
+        principal_directions(np.ones((5, 3)), [np.arange(5)])
 
 
 def test_pca_angle_zero_for_collinear():
@@ -265,10 +265,16 @@ def test_diameter_matches_exact_blocks(case):
     assert sketched_diameter(X, S) == oracles.exact_diameter(X, S)
 
 
+# The oracle takes each tangent from the full n x n covariance, the library
+# from the cloud's principal axes and the smaller of the Gram and covariance
+# eigenproblems: the same vectors up to rounding.
+ANGLE_TOL_DEG = 1e-9
+
+
 def assert_matches_oracle(caplog, X, ref, h, S):
-    """The same median, bit for bit, and the same logged skip count, or the
-    same ValueError, as the per-point oracle at PCA_MIN_NEIGHBORS; returns
-    the oracle's result."""
+    """The same median within ANGLE_TOL_DEG and the same logged skip count,
+    or the same ValueError, as the per-point oracle at PCA_MIN_NEIGHBORS;
+    returns the oracle's result."""
     try:
         want = oracles.local_pca_angle_error(X, ref, h, S, metrics.PCA_MIN_NEIGHBORS)
     except ValueError as exc:
@@ -278,7 +284,7 @@ def assert_matches_oracle(caplog, X, ref, h, S):
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="mlop.metrics"):
         got = local_pca_angle_error(X, ref, h, S)
-    assert got.median_deg == want.median_deg
+    assert abs(got.median_deg - want.median_deg) <= ANGLE_TOL_DEG
     skips = [r.args[0] for r in caplog.records if r.msg.startswith("local PCA skipped")]
     assert skips == ([want.skipped] if want.skipped else [])
     return want
@@ -362,3 +368,84 @@ def test_pca_angle_matches_oracle_near_tie_nearest_reference(caplog):
     assert np.sum((D2 == D2.min(axis=1, keepdims=True)).sum(axis=1) > 1) >= 60
     for S in (S3, random_sketch(3, 3, 4)):
         assert assert_matches_oracle(caplog, X, ref, 0.6, S) is not None
+
+
+# ---------------------------------------------------------------------------
+# principal_directions: principal axes, Gram or covariance path, batching
+# ---------------------------------------------------------------------------
+
+
+def angle_deg(v, w) -> float:
+    """Angle between the lines of two unit vectors, resolved down to
+    rounding (arccos of the cosine is not, near zero)."""
+    return math.degrees(2.0 * math.asin(min(np.linalg.norm(v - w),
+                                            np.linalg.norm(v + w)) / 2.0))
+
+
+def flat_cloud(rng, count=400, n=60, r=3):
+    """Points in an r-dimensional affine subspace of R^n."""
+    basis = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    return rng.normal(size=(count, r)) @ basis.T + rng.normal(size=n)
+
+
+def noisy_helix(rng, count=300):
+    return helix(rng.uniform(0, 6, size=count)) + 0.05 * rng.normal(size=(count, 8))
+
+
+@pytest.mark.parametrize("make", [noisy_helix, flat_cloud])
+def test_principal_directions_batching_is_bitwise_neutral(make):
+    rng = np.random.default_rng(80)
+    cloud = make(rng)
+    r = metrics._principal_axes(cloud)[1].shape[1]
+    # both paths, and more than one stacked eigh call of the same size
+    sizes = list(range(2, 2 * r + 1)) + [r] * 70 + [30] * 3
+    sets = [rng.choice(cloud.shape[0], size=k, replace=False) for k in sizes]
+    together = principal_directions(cloud, sets)
+    for idx, v in zip(sets, together):
+        alone, = principal_directions(cloud, [idx])
+        assert np.array_equal(v, alone)
+
+
+def test_principal_directions_path_boundary_matches_oracle():
+    rng = np.random.default_rng(81)
+    cloud = noisy_helix(rng)
+    r = metrics._principal_axes(cloud)[1].shape[1]
+    assert r == 8
+    for k in (r - 1, r, r + 1):
+        for _ in range(5):
+            idx = rng.choice(cloud.shape[0], size=k, replace=False)
+            v, = principal_directions(cloud, [idx])
+            assert angle_deg(v, oracles.principal_direction(cloud[idx])) <= ANGLE_TOL_DEG
+
+
+def test_principal_axes_count():
+    rng = np.random.default_rng(82)
+    assert metrics._principal_axes(flat_cloud(rng))[1].shape[1] == 3
+    assert metrics._principal_axes(noisy_helix(rng))[1].shape[1] == 8
+    assert metrics._principal_axes(helix(np.linspace(0, 6, 500)))[1].shape[1] == 8
+    # one axis at 1e-6 of the others' standard deviation is data, not rounding
+    thin = rng.normal(size=(300, 5)) * [1.0, 1.0, 1.0, 1.0, 1e-6]
+    rotation = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    assert metrics._principal_axes(thin @ rotation + 3.0)[1].shape[1] == 5
+
+
+def test_all_coincident_cloud_is_degenerate(caplog):
+    cloud = np.full((7, 60), 3.0)
+    assert metrics._principal_axes(cloud)[1].shape[1] == 0
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        principal_directions(cloud, [np.arange(3)])
+    assert principal_directions(cloud, []) == []
+    ref = helix(np.linspace(0, 6, 300))
+    X = np.full((6, 8), 2.0)
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        oracles.local_pca_angle_error(X, ref, 0.5, random_sketch(8, 4, 5))
+    assert assert_matches_oracle(caplog, X, ref, 0.5, random_sketch(8, 4, 5)) is None
+
+
+def test_pca_angle_empty_input():
+    ref = helix(np.linspace(0, 6, 300))
+    S = random_sketch(8, 4, 6)
+    with pytest.raises(ValueError, match="reference cloud is empty"):
+        local_pca_angle_error(ref[:20], np.empty((0, 8)), 0.5, S)
+    with pytest.raises(ValueError, match="cloud X is empty"):
+        local_pca_angle_error(np.empty((0, 8)), ref, 0.5, S)

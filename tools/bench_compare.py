@@ -12,7 +12,14 @@ started from the root of its checkout.  The file keeps every metric of every
 run under ``runs``, so a set can be re-read for a metric not named by
 ``--metrics``.  For the named metrics it adds, per side, the median, the
 quartiles and IQR/median, plus the ratio of the change's median to the
-parent's.
+parent's.  For a metric that the change checkout's ``BENCHMARK.json``
+lists, it also adds the direction read there (``better``), ``pairs``, the
+repeats in which both sides ran correctly, ``pairs_won``, those in which the
+change beat the parent (a tie counts for neither side), and
+``median_gain_over_parent_iqr``, the gap between the medians in the better
+direction over the parent's IQR (positive when the change is better, null
+when that IQR is zero).  A claimed gain holds when the change wins at least
+nine of ten pairs and that ratio exceeds 1.
 """
 
 import argparse
@@ -50,6 +57,29 @@ def summary(values: list) -> dict:
             "iqr_over_median": (q3 - q1) / med if med else None}
 
 
+def directions(root: Path) -> dict:
+    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def pair_stats(runs: list, metric: str, better: str, parent: dict, change: dict) -> dict:
+    """Pairs won by the change, and the gap between the medians in the better
+    direction over the parent's IQR."""
+    sign = 1.0 if better == "lower" else -1.0
+    by_repeat = {}
+    for r in runs:
+        if metric in r["metrics"]:
+            by_repeat.setdefault(r["repeat"], {})[r["side"]] = r["metrics"][metric]
+    pairs = [p for p in by_repeat.values() if len(p) == 2]
+    gain = None
+    if "median" in change and parent.get("q3", 0) > parent.get("q1", 0):
+        gain = sign * (parent["median"] - change["median"]) / (parent["q3"] - parent["q1"])
+    return {"better": better, "pairs": len(pairs),
+            "pairs_won": sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs),
+            "median_gain_over_parent_iqr": gain}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
@@ -64,6 +94,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = directions(sides["change"])
     runs = []
     for rep in range(args.repeats):
         order = ["parent", "change"] if rep % 2 == 0 else ["change", "parent"]
@@ -88,6 +119,9 @@ def main(argv=None) -> int:
                                        if r["side"] == side and m in r["metrics"]])
             a, b = entry["parent"].get("median"), entry["change"].get("median")
             entry["change_over_parent"] = b / a if a and b is not None else None
+            if m in better:
+                entry.update(pair_stats(mine, m, better[m], entry["parent"],
+                                        entry["change"]))
             table[m] = entry
         workloads[wl] = table
     record = {
