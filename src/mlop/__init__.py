@@ -3,9 +3,8 @@ point cloud sampled near a low-dimensional manifold in high dimension."""
 
 from .cloud import PointCloud, load_cloud, save_cloud
 from .datasets import Dataset, DatasetSpec, make_dataset
-from .errors import (CloudFormatError, CoincidentPointsError, ConfigError,
-                     DegenerateSketchError, MlopError, NumericalAbortError,
-                     UnreachableSupportError)
+from .errors import (CloudFormatError, CoincidentPointsError, ConfigError, MlopError,
+                     NumericalAbortError, UnreachableSupportError)
 from .experiments import (ExperimentConfig, ExperimentReport, reproduce,
                           run_experiment)
 from .metrics import (background_snr, local_pca_angle_error,
@@ -21,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "PointCloud", "load_cloud", "save_cloud",
     "Dataset", "DatasetSpec", "make_dataset",
-    "MlopError", "ConfigError", "CloudFormatError", "DegenerateSketchError",
-    "UnreachableSupportError", "CoincidentPointsError", "NumericalAbortError",
+    "MlopError", "ConfigError", "CloudFormatError", "UnreachableSupportError",
+    "CoincidentPointsError", "NumericalAbortError",
     "ExperimentConfig", "ExperimentReport", "reproduce", "run_experiment",
     "background_snr", "local_pca_angle_error", "nearest_reference_errors",
     "relative_error",

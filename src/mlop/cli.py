@@ -22,7 +22,7 @@ from .errors import (CloudFormatError, ConfigError, NumericalAbortError,
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, MetricsReport, reproduce,
                           run_experiment, score_cloud)
 from .metrics import sketched_diameter
-from .sketch import load_sketch, sketch_for_run
+from .sketch import build_sketch, load_sketch
 
 DEFAULT_OUT_ROOT_ENV = "MLOP_OUT_ROOT"
 
@@ -79,7 +79,7 @@ def cmd_metrics(args) -> int:
     if q.ambient_dim != n:
         raise ConfigError(f"--q has ambient dimension {q.ambient_dim}, the dataset has {n}")
     S = (load_sketch(args.sketch) if args.sketch
-         else sketch_for_run(ds.points, args.sketch_dim, args.seed))
+         else build_sketch(ds.points, args.sketch_dim, args.seed))
     if S.n != n:
         raise ConfigError(f"sketch expects ambient dimension {S.n}, the dataset has {n}")
     err, rel, max_rel, fill, snr = score_cloud(q, ds, S, sketched_diameter(ds.reference, S))

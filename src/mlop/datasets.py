@@ -1,8 +1,10 @@
 """Synthetic manifold generators, noise injection, and dense references.
 
-Every generator samples a parameter tensor grid ("equally distributed in
-parameter space"), embeds it in the ambient space, and also produces a
-noise-free reference sampled REF_DENSITY[kind] times denser per parameter
+Each kind is one row of KIND_TABLE: its default and least ambient
+dimension, reference density and generator.  A generator samples the kind's
+parameter space on a tensor grid ("equally distributed in parameter space")
+unless it says otherwise, embeds it in the ambient space, and also produces
+a noise-free reference sampled ``ref_density`` times denser per parameter
 axis.  Generators are deterministic given their spec seed.
 
 A dataset bundle on disk is the directory ``write_dataset`` fills and
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,28 +27,6 @@ from .cloud import PointCloud, load_cloud, read_json, save_cloud, write_json
 from .errors import CloudFormatError, ConfigError, check_fields, check_seed
 from .metrics import erode_background
 from .rng import Rng
-
-KINDS = ("o2", "cone_segment", "cylinder2d", "cylinder6d", "ellipse_images", "grid_line")
-
-_DEFAULT_AMBIENT = {
-    "o2": 60,
-    "cone_segment": 60,
-    "cylinder2d": 60,
-    "cylinder6d": 60,
-    "ellipse_images": 400,
-    "grid_line": 8,
-}
-
-# Per-axis multiplier for the reference grid.  The six-parameter cylinder
-# gets a lower one because its reference size grows with the sixth power.
-REF_DENSITY = {
-    "o2": 3.0,
-    "cone_segment": 3.0,
-    "cylinder2d": 3.0,
-    "cylinder6d": 2.0,
-    "ellipse_images": 2.0,
-    "grid_line": 3.0,
-}
 
 # Circle radius of the plane cylinder; no other kind has a radius.
 CYLINDER2D_RADIUS = 1.5
@@ -78,9 +59,9 @@ class DatasetSpec:
         if not 0 <= self.noise < math.inf:
             raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
         check_seed(self.seed)
+        kind = KIND_TABLE[self.kind]
         if self.ambient_dim is None:
-            self.ambient_dim = _DEFAULT_AMBIENT[self.kind]
-        min_dim = 7 if self.kind == "cylinder6d" else 4
+            self.ambient_dim = kind.ambient_dim
         if self.kind == "ellipse_images":
             if self.ambient_dim != IMAGE_SIDE * IMAGE_SIDE:
                 raise ConfigError("ellipse images are fixed at 20x20 pixels")
@@ -88,8 +69,8 @@ class DatasetSpec:
                 raise ConfigError(
                     f"at most {ELLIPSE_GRID * ELLIPSE_GRID} ellipse samples available"
                 )
-        elif self.ambient_dim < min_dim:
-            raise ConfigError(f"{self.kind} needs ambient_dim >= {min_dim}")
+        elif self.ambient_dim < kind.min_dim:
+            raise ConfigError(f"{self.kind} needs ambient_dim >= {kind.min_dim}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,12 +148,6 @@ def _tensor_grid(ranges: list[tuple[float, float]], target: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _embed_rows(coords: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((coords.shape[0], n))
-    out[:, : coords.shape[1]] = coords
-    return out
-
-
 def random_orthogonal(n: int, rng: Rng) -> np.ndarray:
     """Haar-ish orthogonal matrix: QR of a Gaussian with a fixed sign convention."""
     g = rng.standard_normal((n, n))
@@ -181,27 +156,41 @@ def random_orthogonal(n: int, rng: Rng) -> np.ndarray:
 
 
 def _o2_embed(theta: np.ndarray, n: int) -> np.ndarray:
-    coords = np.stack(
-        [np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], axis=1)
-    return _embed_rows(coords, n)
+    out = np.zeros((theta.shape[0], n))
+    out[:, :4] = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)],
+                          axis=1)
+    return out
 
 
-def gen_o2(J: int, rng: Rng, n: int = 60):
+def gen_o2(J: int, n: int, density: float, root: Rng):
     """Rotation-matrix circle: [cos t, -sin t, sin t, cos t, 0, ...] mixed by
     a random orthogonal map so the structure is spread over all coordinates.
 
     Returns (clean cloud, reference cloud).  The mixing map is
-    ``random_orthogonal(n, rng)``, so the same stream rebuilds it.  The angle
-    grid drops the endpoint because -pi and pi embed to the same matrix.
+    ``random_orthogonal(n, root.stream("mixing"))``, so the same stream
+    rebuilds it.  The angle grid drops the endpoint because -pi and pi embed
+    to the same matrix.
     """
-    A = random_orthogonal(n, rng)
+    A = random_orthogonal(n, root.stream("mixing"))
     theta = np.linspace(-np.pi, np.pi, J, endpoint=False)
-    ref_count = int(math.ceil(J * REF_DENSITY["o2"]))
-    theta_ref = np.linspace(-np.pi, np.pi, ref_count, endpoint=False)
+    theta_ref = np.linspace(-np.pi, np.pi, int(math.ceil(J * density)), endpoint=False)
     return PointCloud(_o2_embed(theta, n) @ A.T), PointCloud(_o2_embed(theta_ref, n) @ A.T)
 
 
+def _on_grid(ranges: list[tuple[float, float]], embed):
+    """The generator of a structure that ``embed(params, n)`` maps from a
+    tensor grid over the parameter ranges: J grid rows for the samples and
+    J * density^axes for the reference."""
+    def generate(J: int, n: int, density: float, root: Rng):
+        ref_count = int(math.ceil(J * density ** len(ranges)))
+        return (PointCloud(embed(_tensor_grid(ranges, J), n)),
+                PointCloud(embed(_tensor_grid(ranges, ref_count), n)))
+    return generate
+
+
 def _cone_embed(params: np.ndarray, n: int) -> np.ndarray:
+    """Cone melting into a line segment: the radial factor exp(-R^2) makes the
+    circular part collapse as R grows, so the structure changes dimension."""
     t, big_r, u = params[:, 0], params[:, 1], params[:, 2]
     v1 = np.zeros(n); v1[:4] = 1.0
     v2 = np.zeros(n); v2[1], v2[2] = 1.0, -1.0
@@ -212,34 +201,17 @@ def _cone_embed(params: np.ndarray, n: int) -> np.ndarray:
             + (radial * np.sin(u))[:, None] * v3)
 
 
-def gen_cone_segment(J: int, n: int = 60):
-    """Cone melting into a line segment: the radial factor exp(-R^2) makes the
-    circular part collapse as R grows, so the structure changes dimension."""
-    ranges = [(0.0, 2.0), (0.0, 2.5), (0.1 * np.pi, 1.5 * np.pi)]
-    params = _tensor_grid(ranges, J)
-    ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cone_segment"] ** 3)))
-    return PointCloud(_cone_embed(params, n)), PointCloud(_cone_embed(ref_params, n))
-
-
-def _cylinder2d_embed(params: np.ndarray, n: int, radius: float) -> np.ndarray:
+def _cylinder2d_embed(params: np.ndarray, n: int) -> np.ndarray:
+    """Open cylinder: a circle of radius CYLINDER2D_RADIUS swept along the
+    all-ones direction, at parameters (t, u)."""
     t, u = params[:, 0], params[:, 1]
     v1 = np.ones(n)
     v2 = np.zeros(n); v2[1], v2[2] = 1.0, -1.0
     v3 = np.zeros(n); v3[0], v3[3] = 1.0, -1.0
-    scale = radius / math.sqrt(2.0)
+    scale = CYLINDER2D_RADIUS / math.sqrt(2.0)
     return (t[:, None] * v1
             + (scale * np.cos(u))[:, None] * v2
             + (scale * np.sin(u))[:, None] * v3)
-
-
-def gen_cylinder2d(J: int, n: int = 60):
-    """Open cylinder: a circle of radius CYLINDER2D_RADIUS swept along the
-    all-ones direction, t in [0, 2], u in [0.1 pi, 1.5 pi]."""
-    ranges = [(0.0, 2.0), (0.1 * np.pi, 1.5 * np.pi)]
-    params = _tensor_grid(ranges, J)
-    ref_params = _tensor_grid(ranges, int(math.ceil(J * REF_DENSITY["cylinder2d"] ** 2)))
-    return (PointCloud(_cylinder2d_embed(params, n, CYLINDER2D_RADIUS)),
-            PointCloud(_cylinder2d_embed(ref_params, n, CYLINDER2D_RADIUS)))
 
 
 def sphere5_coords(u: np.ndarray, radius: float) -> np.ndarray:
@@ -266,22 +238,21 @@ def _cylinder6d_embed(params: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gen_cylinder6d(J: int, rng: Rng, ref_rng: Rng, n: int = 60):
+def gen_cylinder6d(J: int, n: int, density: float, root: Rng):
     """Six-dimensional cylinder: a unit five-sphere cross-section swept along
     a direction with ones in the first seven slots.
 
     With six parameters a tensor grid at this budget is hopelessly coarse
     (3-4 samples per axis), so both the data and the reference are drawn
-    uniformly at random in parameter space; the reference is
-    REF_DENSITY["cylinder6d"]^6 times larger.  ``rng`` draws the data parameters and
-    ``ref_rng`` the reference parameters.
+    uniformly at random in parameter space; the reference is density^6
+    times larger.  ``root.stream("structure")`` draws the data parameters
+    and ``root.stream("reference")`` the reference parameters.
     """
     ranges = [(0.0, 2.0)] + [(0.1 * np.pi, 0.6 * np.pi)] * 5
-    lo = np.array([r[0] for r in ranges])
-    hi = np.array([r[1] for r in ranges])
-    params = lo + (hi - lo) * rng.random((J, 6))
-    ref_count = int(math.ceil(J * REF_DENSITY["cylinder6d"] ** 6))
-    ref_params = lo + (hi - lo) * ref_rng.random((ref_count, 6))
+    lo, hi = np.array(ranges).T
+    params = lo + (hi - lo) * root.stream("structure").random((J, 6))
+    ref_count = int(math.ceil(J * density ** 6))
+    ref_params = lo + (hi - lo) * root.stream("reference").random((ref_count, 6))
     return (PointCloud(_cylinder6d_embed(params, n)),
             PointCloud(_cylinder6d_embed(ref_params, n)))
 
@@ -297,35 +268,48 @@ def _ellipse_images(radii: np.ndarray) -> np.ndarray:
     return inside.reshape(radii.shape[0], -1).astype(np.float64)
 
 
-def _ellipse_radii_grid(per_axis: int) -> np.ndarray:
-    lo, hi = ELLIPSE_RADIUS_RANGE
-    a = np.linspace(lo, hi, per_axis)
-    mesh = np.meshgrid(a, a, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def gen_ellipse_images(J: int):
-    """Centered axis-aligned ellipses with radii on a uniform grid, flattened
-    to R^400.  Returns (clean cloud, reference cloud), both binary rasters.
+def gen_ellipse_images(J: int, n: int, density: float, root: Rng):
+    """Centered axis-aligned ellipses with radii on a uniform tensor grid,
+    flattened to R^400: J of the ELLIPSE_GRID^2 grid rasters, evenly spread,
+    and as reference the grid density times finer per axis, all binary.
     ``make_dataset`` adds the spec's noise as per-pixel Gaussian noise of
     that sigma (``add_image_noise``)."""
-    grid = _ellipse_radii_grid(ELLIPSE_GRID)
-    if J > grid.shape[0]:
-        raise ConfigError(f"at most {grid.shape[0]} ellipse samples available")
-    take = (np.arange(J) * grid.shape[0]) // J
-    radii = grid[take]
-    ref_per_axis = int(math.ceil(ELLIPSE_GRID * REF_DENSITY["ellipse_images"]))
-    ref_imgs = _ellipse_images(_ellipse_radii_grid(ref_per_axis))
-    return PointCloud(_ellipse_images(radii)), PointCloud(ref_imgs)
+    ranges = [ELLIPSE_RADIUS_RANGE] * 2
+    grid = _tensor_grid(ranges, ELLIPSE_GRID * ELLIPSE_GRID)
+    ref_radii = _tensor_grid(ranges, int(math.ceil(ELLIPSE_GRID * density)) ** 2)
+    radii = grid[(np.arange(J) * grid.shape[0]) // J]
+    return PointCloud(_ellipse_images(radii)), PointCloud(_ellipse_images(ref_radii))
 
 
-def gen_grid_line(J: int, n: int):
-    """Minimal one-dimensional structure: J equally spaced points on a fixed
-    segment of length 2 along the normalized all-ones direction in R^n."""
-    direction = np.ones(n) / math.sqrt(n)
-    t = np.linspace(0.0, 2.0, J)
-    t_ref = np.linspace(0.0, 2.0, int(math.ceil(J * REF_DENSITY["grid_line"])))
-    return PointCloud(t[:, None] * direction), PointCloud(t_ref[:, None] * direction)
+@dataclass(frozen=True)
+class Kind:
+    """One dataset kind: its default and least ambient dimension, the
+    per-axis multiplier of its reference sampling, and its generator
+    generate(J, n, ref_density, root Rng) -> (clean cloud, reference cloud)."""
+
+    ambient_dim: int
+    min_dim: int
+    ref_density: float
+    generate: Callable
+
+
+# The six-parameter cylinder gets a lower reference density because its
+# reference size grows with the sixth power.
+KIND_TABLE = {
+    "o2": Kind(60, 4, 3.0, gen_o2),
+    "cone_segment": Kind(60, 4, 3.0, _on_grid(
+        [(0.0, 2.0), (0.0, 2.5), (0.1 * np.pi, 1.5 * np.pi)], _cone_embed)),
+    "cylinder2d": Kind(60, 4, 3.0, _on_grid(
+        [(0.0, 2.0), (0.1 * np.pi, 1.5 * np.pi)], _cylinder2d_embed)),
+    "cylinder6d": Kind(60, 7, 2.0, gen_cylinder6d),
+    "ellipse_images": Kind(IMAGE_SIDE * IMAGE_SIDE, IMAGE_SIDE * IMAGE_SIDE, 2.0,
+                           gen_ellipse_images),
+    # minimal one-dimensional structure: J equally spaced points on a segment
+    # of length 2 along the normalized all-ones direction in R^n
+    "grid_line": Kind(8, 4, 3.0, _on_grid(
+        [(0.0, 2.0)], lambda params, n: params[:, :1] * (np.ones(n) / math.sqrt(n)))),
+}
+KINDS = tuple(KIND_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +338,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     ellipse_images and to ``add_uniform_noise`` as the half-width for every
     other kind; noise 0 leaves the samples on the structure.
     """
-    root = Rng(spec.seed)
-    if spec.kind == "o2":
-        clean, reference = gen_o2(spec.sample_count, root.stream("mixing"), n=spec.ambient_dim)
-    elif spec.kind == "cone_segment":
-        clean, reference = gen_cone_segment(spec.sample_count, n=spec.ambient_dim)
-    elif spec.kind == "cylinder2d":
-        clean, reference = gen_cylinder2d(spec.sample_count, n=spec.ambient_dim)
-    elif spec.kind == "cylinder6d":
-        clean, reference = gen_cylinder6d(
-            spec.sample_count, root.stream("structure"), root.stream("reference"),
-            n=spec.ambient_dim)
-    elif spec.kind == "ellipse_images":
-        clean, reference = gen_ellipse_images(spec.sample_count)
-    elif spec.kind == "grid_line":
-        clean, reference = gen_grid_line(spec.sample_count, spec.ambient_dim)
-    else:  # pragma: no cover - spec validation rejects this earlier
-        raise ConfigError(f"unknown dataset kind {spec.kind!r}")
-
+    root, kind = Rng(spec.seed), KIND_TABLE[spec.kind]
+    clean, reference = kind.generate(spec.sample_count, spec.ambient_dim, kind.ref_density, root)
     add_noise = add_image_noise if spec.kind == "ellipse_images" else add_uniform_noise
     noisy = add_noise(clean, spec.noise, root.stream("noise"))
     return Dataset(spec=spec, points=noisy, clean=clean, reference=reference)

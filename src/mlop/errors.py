@@ -19,18 +19,6 @@ class CloudFormatError(MlopError):
     """Malformed point-cloud file; message carries row/column location."""
 
 
-class DegenerateSketchError(MlopError):
-    """Sketch construction hit a rank-deficient projection basis."""
-
-    def __init__(self, requested: int, achieved: int):
-        self.requested = requested
-        self.achieved = achieved
-        super().__init__(
-            f"sketch basis is rank deficient: requested {requested} columns, "
-            f"achieved rank {achieved}; retry with a smaller sketch dimension"
-        )
-
-
 class UnreachableSupportError(MlopError):
     """No admissible radius multiplier covers every reconstruction point."""
 

@@ -143,11 +143,12 @@ def _self_block(Xs, Z, z2, zmax, dmin2, i0, i1):
     return D
 
 
-def _guard_coincident(d2, i0, delta_min):
-    """Raise on the first pair of the block within the guard distance."""
-    hit = np.argwhere(d2 <= delta_min * delta_min)
+def _guard_coincident(d2, mins, i0, delta_min):
+    """Raise on the first pair of the block, in row order, within the guard
+    distance; ``mins`` are the block's row minima."""
+    hit = np.flatnonzero(mins <= delta_min * delta_min)
     if hit.size:
-        r, c = hit[0]
+        r, c = hit[0], np.argmax(d2[hit[0]] <= delta_min * delta_min)
         raise CoincidentPointsError(
             f"reconstruction points {int(r + i0)} and {int(c)} are within the guard "
             f"distance {delta_min:.3e}"
@@ -190,7 +191,8 @@ def _repulsion_np(Q, Qs, sq, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None,
     rows i0:i1; given ``weights``, their energy (None without).  ``sq`` is
     ``_centred(Qs, ...)``."""
     d2 = _self_block(Qs, *sq, delta_min * delta_min, i0, i1)
-    _guard_coincident(d2, i0, delta_min)
+    mins = d2.min(axis=1)
+    _guard_coincident(d2, mins, i0, delta_min)
     far = d2 > cutsq
     energy = None
     with np.errstate(over="ignore"):
@@ -202,7 +204,7 @@ def _repulsion_np(Q, Qs, sq, h2sq, cutsq, delta_min, i0, i1, out=None, nn=None,
             energy = float((weights[i0:i1] * eta.sum(axis=1)).sum())
             del eta  # no more blocks alive than the force part needs
         if out is not None:
-            nn[i0:i1] = np.sqrt(d2.min(axis=1))
+            nn[i0:i1] = np.sqrt(mins)
             beta = np.divide(g, d, out=g)
             beta *= 1.0 / (d2 * d2) + 2.0 / (3.0 * d2 * h2sq)
             beta[far] = 0.0

@@ -145,10 +145,11 @@ _EIGH_BATCH = 64
 
 
 def _principal_axes(Z: np.ndarray):
-    """The centred rows of Z in the coordinates of its principal axes, and
-    those axes as the orthonormal columns of V: ``(Zc @ V, V)``.
+    """The centred rows of Z in the coordinates of its principal axes, those
+    axes as the orthonormal columns of V, and the rounding floor of the
+    eigenvalues: ``(Zc @ V, V, floor)``.
 
-    The axes are the eigenvectors of Zcᵀ Zc whose eigenvalue exceeds
+    The axes are the eigenvectors of Zcᵀ Zc whose eigenvalue exceeds floor =
     n · eps · λ_max, with n the ambient dimension and λ_max the largest
     eigenvalue.  The rows' sum of squares along an axis left out is below
     that threshold, which is the size of the rounding error in Zcᵀ Zc and
@@ -159,8 +160,9 @@ def _principal_axes(Z: np.ndarray):
     """
     Zc = Z - Z.mean(axis=0)
     vals, vecs = np.linalg.eigh(Zc.T @ Zc)
-    V = vecs[:, vals > Z.shape[1] * np.finfo(np.float64).eps * vals[-1]]
-    return Zc @ V, V
+    floor = Z.shape[1] * np.finfo(np.float64).eps * vals[-1]
+    V = vecs[:, vals > floor]
+    return Zc @ V, V, floor
 
 
 def principal_directions(cloud, index_lists) -> list:
@@ -179,11 +181,13 @@ def principal_directions(cloud, index_lists) -> list:
     eigenpairs.  The matrices are stacked by size into batched
     np.linalg.eigh calls (the same LAPACK routine per matrix), so each
     vector has the bits it gets when its set is computed alone.  A set
-    whose rows all coincide raises ValueError.
+    whose top eigenvalue is at most the cloud's rounding floor n · eps ·
+    λ_max, such as coincident rows whose centred copies are rounding, raises
+    ValueError.
     """
     if not index_lists:
         return []
-    Y, V = _principal_axes(as_points(cloud))
+    Y, V, floor = _principal_axes(as_points(cloud))
     r = V.shape[1]
     if r == 0:
         raise ValueError("degenerate neighborhood: all points coincide")
@@ -201,7 +205,7 @@ def principal_directions(cloud, index_lists) -> list:
             vals, vecs = np.linalg.eigh(np.stack([Yc @ Yc.T if gram else Yc.T @ Yc
                                                   for Yc in centred]))
             for b, (j, Yc) in enumerate(zip(chunk, centred)):
-                if vals[b, -1] <= 0:
+                if vals[b, -1] <= floor:
                     raise ValueError("degenerate neighborhood: all points coincide")
                 u = vecs[b, :, -1]
                 v = V @ (Yc.T @ u if gram else u)

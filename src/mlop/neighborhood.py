@@ -120,7 +120,7 @@ def _grid_radius(h0: float, needed: float) -> tuple[float, float]:
         k += 1
 
 
-def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams:
+def estimate_supports(P, S: SketchMatrix, rng: Rng, q0) -> SupportParams:
     """Estimate the attraction/repulsion support sizes for a run.
 
     h1 comes from the quota radius of the actual reconstruction seed q0
@@ -133,12 +133,11 @@ def estimate_supports(P, I: int, S: SketchMatrix, rng: Rng, q0) -> SupportParams
 
     Args:
         P: data cloud (J points).
-        I: reconstruction size, 1 <= I <= J.
         rng: draws the uniform subsample behind h2.
-        q0: the reconstruction seed (I points).
+        q0: the reconstruction seed, of I points with 1 <= I <= J.
     """
     pts = as_points(P)
-    J = pts.shape[0]
+    J, I = pts.shape[0], len(q0)
     if not 1 <= I <= J:
         raise ConfigError(
             f"reconstruction size must satisfy 1 <= I <= J, got I={I}, J={J}; "

@@ -1,10 +1,11 @@
 """Randomized linear sketching for robust high-dimensional norms.
 
 All inter-point norms and distances in the pipeline are evaluated after
-projecting onto a column-orthonormal basis S built once from the input data:
-a Gaussian mix of the data rows, orthonormalized by QR.  ||S^t x|| never
-exceeds ||x|| and equals it on the column span, so distances computed this
-way contract ambient noise while preserving the data geometry.
+projecting onto a column-orthonormal basis S that ``build_sketch(P, m, seed)``,
+the one builder, makes once from the input data: a Gaussian mix of the data
+rows, drawn from the seed's "sketch" stream and orthonormalized by QR.
+||S^t x|| never exceeds ||x|| and equals it on the column span, so distances
+computed this way contract ambient noise while preserving the data geometry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import as_points, load_cloud, write_matrix
-from .errors import CloudFormatError, ConfigError, DegenerateSketchError, check_seed
+from .errors import CloudFormatError, ConfigError, check_seed
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -46,48 +47,39 @@ class SketchMatrix:
         return as_points(points) @ self.s
 
 
-def build_sketch(P, m: int, rng: Rng) -> SketchMatrix:
-    """Build the projection basis from the data cloud.
+def build_sketch(P, m: int, seed: int) -> SketchMatrix:
+    """Build the projection basis of a run with this seed from the data cloud.
 
-    Draws a J-by-m standard-normal mixing matrix G, forms B = P^t G (columns
-    are random combinations of the data rows, so they live in the data's row
-    space), and orthonormalizes B by QR.
+    Draws a J-by-m standard-normal mixing matrix G from the seed's "sketch"
+    stream, forms B = P^t G (columns are random combinations of the data
+    rows, so they live in the data's row space), and orthonormalizes B by
+    QR.  While B has rank < m (the data span fewer than m directions), the
+    basis is drawn again from a fresh "sketch" stream at the rank achieved,
+    with a logged warning: padding silently would corrupt every downstream
+    norm.
 
     Raises:
-        ConfigError: m is outside [1, n] for data in R^n.
-        DegenerateSketchError: B has rank < m (e.g. the data spans fewer than
-            m directions).  The caller may retry with a smaller m; padding
-            silently would corrupt every downstream norm.
+        ConfigError: m is outside [1, n] for data in R^n (also when every
+            data row is zero, so the rank achieved is 0), or the seed does
+            not fit 64 unsigned bits.
     """
+    check_seed(seed)
     pts = as_points(P)
     J, n = pts.shape
-    if not 1 <= m <= n:
-        raise ConfigError(f"sketch dimension must be in [1, {n}] for data in R^{n}, "
-                          f"got {m}")
-    g = rng.standard_normal((J, m))
-    b = pts.T @ g
-    q, r = np.linalg.qr(b)
-    diag = np.abs(np.diag(r))
-    tol = max(J, n) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-    achieved = int(np.sum(diag > tol))
-    if achieved < m:
-        raise DegenerateSketchError(requested=m, achieved=achieved)
-    return SketchMatrix(q)
-
-
-def sketch_for_run(P, m: int, seed: int) -> SketchMatrix:
-    """The sketch of a run with this seed: built from its "sketch" stream
-    and, while the data span fewer than m directions, rebuilt from the same
-    stream at the rank achieved, with a logged warning.  A seed outside 64
-    unsigned bits, or m outside [1, n], raises ConfigError."""
-    check_seed(seed)
     while True:
-        try:
-            return build_sketch(P, m, Rng(seed).stream("sketch"))
-        except DegenerateSketchError as exc:
-            logger.warning("sketch rank %d < requested %d; rebuilding at rank %d",
-                           exc.achieved, m, exc.achieved)
-            m = exc.achieved
+        if not 1 <= m <= n:
+            raise ConfigError(f"sketch dimension must be in [1, {n}] for data in R^{n}, "
+                              f"got {m}")
+        g = Rng(seed).stream("sketch").standard_normal((J, m))
+        q, r = np.linalg.qr(pts.T @ g)
+        diag = np.abs(np.diag(r))
+        tol = max(J, n) * np.finfo(np.float64).eps * diag.max()
+        achieved = int(np.sum(diag > tol))
+        if achieved == m:
+            return SketchMatrix(q)
+        logger.warning("sketch rank %d < requested %d; rebuilding at rank %d",
+                       achieved, m, achieved)
+        m = achieved
 
 
 def save_sketch(S: SketchMatrix, path) -> None:

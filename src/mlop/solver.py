@@ -42,7 +42,7 @@ from .errors import (CoincidentPointsError, ConfigError, NumericalAbortError, ch
                      check_seed)
 from .neighborhood import SupportParams, estimate_supports
 from .rng import Rng
-from .sketch import SketchMatrix, sketch_for_run
+from .sketch import SketchMatrix, build_sketch
 
 logger = logging.getLogger(__name__)
 
@@ -207,46 +207,41 @@ def _init_indices(P: PointCloud, config: SolverConfig, S: SketchMatrix, rng: Rng
     return np.sort(np.argsort(d, kind="stable")[:I])
 
 
-def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverResult:
+def run(P: PointCloud, config: SolverConfig) -> SolverResult:
     """Run the reconstruction loop.
 
     Args:
         P: input cloud (J points in R^n).
         config: run tunables; config.q_size = I must satisfy I <= J.
-        sketch: optional pre-built projection basis (``sketch_for_run`` builds
-            it from P otherwise); it is reused for every norm in the run.
 
     Returns:
         SolverResult with the final cloud, per-iteration trace, estimated
-        supports, frozen balance weights and the sketch used.
+        supports, frozen balance weights and the sketch used: the one
+        ``build_sketch`` makes from P and config.seed, reused for every norm
+        in the run.
 
     All per-point updates within one iteration read the iteration-start
     snapshot, so the result is independent of update order and of
     ``config.threads`` (at a fixed BLAS thread count).
     """
-    if not isinstance(P, PointCloud):
-        P = PointCloud(np.asarray(P, dtype=np.float64))
-    J, n = P.size, P.ambient_dim
-    I = config.q_size
+    J, I = P.size, config.q_size
     if I > J:
         raise ConfigError(f"q_size {I} exceeds input size {J}")
     root = Rng(config.seed)
-    S = sketch if sketch is not None else sketch_for_run(P, config.sketch_dim, config.seed)
-    if S.n != n:
-        raise ConfigError(f"sketch expects ambient dimension {S.n}, data has {n}")
+    S = build_sketch(P, config.sketch_dim, config.seed)
 
     q0_idx = _init_indices(P, config, S, root.stream("init"))
     Q = P.points[q0_idx].copy()
-    supports = estimate_supports(P, I, S, root.stream("supports"), q0=Q)
+    supports = estimate_supports(P, S, root.stream("supports"), q0=Q)
     rp = RunParams.from_supports(supports)
     grad_tol = 1e-4 * supports.h1
 
     Ps = S.project(P)
     threads = config.threads
-    lam = weights = q_prev = grad_prev = None
+    lam = np.zeros(I)  # the balance weights, set at k == 0 and then frozen
+    weights = None
     trace: list[TraceRecord] = []
     converged = False
-    gamma0 = lo = None
 
     for k in range(config.max_iters):
         t0 = time.perf_counter()
@@ -258,7 +253,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
                                                       threads, weights)
         except CoincidentPointsError as exc:
             raise NumericalAbortError(k, str(exc)) from exc
-        if lam is None:
+        if k == 0:
             lam = init_lambda(attr, rep, S)
             weights = -lam
         grad = attr + lam[:, None] * rep
@@ -268,7 +263,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         full_norms = np.sqrt(np.einsum("ij,ij->i", grad, grad))
         gmax = float(np.linalg.norm(grad @ S.s, axis=1).max())
         # the first repulsion pass ran before lam existed, so cost() prices it
-        cost_val = cost(Qs, Ps, rp, lam, threads=threads) if e_rep is None else e_att + e_rep
+        cost_val = cost(Qs, Ps, rp, lam, threads=threads) if k == 0 else e_att + e_rep
         fill_q = float(np.median(nn)) if I >= 2 else math.nan
         if gmax < grad_tol:
             converged = True
@@ -299,7 +294,7 @@ def run(P, config: SolverConfig, sketch: SketchMatrix | None = None) -> SolverRe
         q_final=PointCloud(Q),
         trace=trace,
         supports=supports,
-        lam=lam if lam is not None else np.zeros(I),
+        lam=lam,
         q0_indices=q0_idx,
         converged=converged,
         # the converging iteration is traced but takes no step

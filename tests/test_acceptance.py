@@ -80,7 +80,7 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_sketch_properties():
     t0 = time.perf_counter()
     P = PointCloud(np.random.default_rng(0).normal(size=(50, 60)))
-    S = build_sketch(P, 10, Rng(0))
+    S = build_sketch(P, 10, 0)
     gram_err = float(np.abs(S.s.T @ S.s - np.eye(10)).max())
 
     rng = np.random.default_rng(1)
@@ -106,7 +106,7 @@ def test_criterion_2_sketch_properties():
         base[1, :2] = [0.2, 0.2]
         base[2, :2] = [2.0, 2.0]
         noisy = base + r.uniform(-0.2, 0.2, (3, 60))
-        Sf = build_sketch(PointCloud(noisy), 2, r.stream("sketch"))
+        Sf = build_sketch(noisy, 2, seed)
         if sketched_dist(Sf, noisy[0], noisy[1]) < sketched_dist(Sf, noisy[0], noisy[2]):
             hits += 1
     elapsed = time.perf_counter() - t0

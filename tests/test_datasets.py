@@ -5,16 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from mlop.datasets import (IMAGE_SIDE, KINDS, DatasetSpec, _axis_counts, _cone_embed,
-                           _cylinder2d_embed, _cylinder6d_embed, _ellipse_radii_grid,
-                           add_image_noise, add_uniform_noise, gen_ellipse_images,
-                           gen_grid_line, gen_o2, make_dataset, random_orthogonal,
-                           sphere5_coords)
+from mlop.datasets import (ELLIPSE_RADIUS_RANGE, IMAGE_SIDE, KINDS, DatasetSpec, _axis_counts,
+                           _cone_embed, _cylinder2d_embed, _cylinder6d_embed, _tensor_grid,
+                           add_image_noise, add_uniform_noise, gen_o2, make_dataset,
+                           random_orthogonal, sphere5_coords)
 from mlop.errors import ConfigError
 from mlop.metrics import erode_background
 from mlop.neighborhood import fill_distance
 from mlop.rng import Rng
 from mlop.sketch import SketchMatrix
+
+
+def generated(kind, J, n=None):
+    """The clean samples and reference of a noise-free dataset."""
+    ds = make_dataset(DatasetSpec(kind=kind, sample_count=J, ambient_dim=n))
+    return ds.clean, ds.reference
 
 
 def test_axis_counts():
@@ -29,7 +34,7 @@ def test_axis_counts():
 
 
 def test_o2_embeds_rotations():
-    clean, ref = gen_o2(500, Rng(0).stream("mixing"))
+    clean, ref = gen_o2(500, 60, 3.0, Rng(0))
     assert clean.size == 500 and clean.ambient_dim == 60
     # undo the mixing: theta = 0 maps to [1, 0, 0, 1, 0, ...]
     A = random_orthogonal(60, Rng(0).stream("mixing"))
@@ -72,15 +77,15 @@ def test_cone_collapses_at_large_radius_parameter():
 
 def test_cylinder2d_axis_distance():
     delta = 0.37
-    pts = _cylinder2d_embed(np.array([[0.0, 1.0], [delta, 1.0]]), 60, 1.5)
+    pts = _cylinder2d_embed(np.array([[0.0, 1.0], [delta, 1.0]]), 60)
     assert np.linalg.norm(pts[0] - pts[1]) == pytest.approx(delta * math.sqrt(60))
 
 
 def test_cylinder2d_formula_point():
-    p = _cylinder2d_embed(np.array([[0.0, math.pi / 2]]), 60, 1.0)[0]
+    p = _cylinder2d_embed(np.array([[0.0, math.pi / 2]]), 60)[0]
     v3 = np.zeros(60)
     v3[0], v3[3] = 1.0, -1.0
-    assert np.allclose(p, v3 / math.sqrt(2.0), atol=1e-12)
+    assert np.allclose(p, 1.5 * v3 / math.sqrt(2.0), atol=1e-12)
 
 
 def test_cylinder2d_paper_scale_grid():
@@ -136,7 +141,7 @@ def test_cylinder6d_draws_from_the_root_streams():
 
 
 def test_ellipse_images_binary_with_masks():
-    clean, ref = gen_ellipse_images(900)
+    clean, ref = generated("ellipse_images", 900)
     assert clean.points.shape == (900, 400)
     assert set(np.unique(clean.points)) <= {0.0, 1.0}
     # the reference is binary too, so its zero pixels are its background
@@ -153,9 +158,35 @@ def test_ellipse_images_binary_with_masks():
             == "0626da9c0b9f23286427b8d810a4e03b77f9bb620072ed168e842d6876fecb70")
     c = (IMAGE_SIDE - 1) / 2.0
     rows, cols = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
-    for k, (a, b) in enumerate(_ellipse_radii_grid(60)[::97]):
+    for k, (a, b) in enumerate(_tensor_grid([ELLIPSE_RADIUS_RANGE] * 2, 3600)[::97]):
         inside = ((cols - c) / a) ** 2 + ((rows - c) / b) ** 2 <= 1.0
         assert np.array_equal(ref.points[97 * k], inside.ravel().astype(np.float64))
+
+
+# (points, reference, clean) of each kind at 40 samples, noise 0.1, seed 3
+PINNED = {
+    "o2": ("0ebdfede149ae990e763c65aa157b215b44d6d124ac3e030305acd1658da6521",
+           "4608f4fc944052ff2ca7c7b6c69cf989c820cb1a0509cf0f140d698690e92e21",
+           "28843de8e1ba4210ac50da6cc7a2dbc7eee636648e1d29da841ad63c77346a3a"),
+    "cone_segment": ("23687582fc2279e7e21574d59d7616174385b9f234b2dab392053a66fa8c5fa7",
+                     "37bafa3586e3b9bd48d5a1bde375be5688679005d74fefdc3009a2d8693c9b86",
+                     "820468e13c6f6c1fb6c2ccfcd460390a1841d089e49b0faf7c555695c8ef3e65"),
+    "cylinder2d": ("4928627e54bbd56271b2517680503a2ab889d515551d83d7f9e55130c3332275",
+                   "c77016a57e93b9e92d5af88810de3ca0f42ddae6942a26c7782c1878163ed810",
+                   "5e7e21da26d97909422772ed4ab616b17c68e329bfb40aca42d46df7c40c0425"),
+    "grid_line": ("1da85a88195df69683fe8176a37e1333a003f05b59d2ef6a614082e645022027",
+                  "8bf284e94346137792e827774766fb1524219d7fd1850867969990ef7f1c5c7d",
+                  "d5a0e9af5ab623d6740a5e528168b110ed689b57e2cd3913ee1fc2cb6640980e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_bytes(kind):
+    """No generator, density or stream may move a byte of these kinds."""
+    ds = make_dataset(DatasetSpec(kind=kind, sample_count=40, noise=0.1, seed=3))
+    got = tuple(hashlib.sha256(c.points.tobytes()).hexdigest()
+                for c in (ds.points, ds.reference, ds.clean))
+    assert got == PINNED[kind]
 
 
 def test_only_ellipse_images_are_images():
@@ -165,8 +196,8 @@ def test_only_ellipse_images_are_images():
 
 
 def test_ellipse_count_cap():
-    with pytest.raises(ConfigError, match="at most"):
-        gen_ellipse_images(901)
+    with pytest.raises(ConfigError, match="at most 900"):
+        DatasetSpec(kind="ellipse_images", sample_count=901)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +206,7 @@ def test_ellipse_count_cap():
 
 
 def test_grid_line_geometry():
-    line, ref = gen_grid_line(33, 8)
+    line, ref = generated("grid_line", 33, 8)
     S = SketchMatrix(np.eye(8))
     assert fill_distance(line, S) == pytest.approx(2.0 / 32.0)
     centered = line.points - line.points.mean(0)
@@ -191,13 +222,13 @@ def test_grid_line_geometry():
 
 
 def test_uniform_noise_zero_sigma_is_identity():
-    line, _ = gen_grid_line(10, 4)
+    line, _ = generated("grid_line", 10, 4)
     noisy = add_uniform_noise(line, 0.0, Rng(0).stream("noise"))
     assert np.array_equal(noisy.points, line.points)
 
 
 def test_uniform_noise_bounded_and_centered():
-    base, _ = gen_grid_line(200, 60)
+    base, _ = generated("grid_line", 200, 60)
     sigma = 0.1
     noisy = add_uniform_noise(base, sigma, Rng(1).stream("noise"))
     delta = noisy.points - base.points
@@ -206,7 +237,7 @@ def test_uniform_noise_bounded_and_centered():
 
 
 def test_image_noise_clipped():
-    clean, _ = gen_ellipse_images(25)
+    clean, _ = generated("ellipse_images", 25)
     noisy = add_image_noise(clean, 0.25, Rng(2).stream("noise"))
     assert noisy.points.min() >= 0.0 and noisy.points.max() <= 1.0
 

@@ -93,13 +93,14 @@ def test_max_rel_error_divides_by_the_computed_diameter(tmp_path):
     assert report.max_rel_error == err.max / metrics.sketched_diameter(ds.reference, S)
 
 
-def test_scores_of_a_run_on_the_reference_are_zero():
+def test_scores_of_a_run_on_the_reference_are_zero(monkeypatch):
     # a zero-iteration run on data that is its own reference: under the
     # identity sketch every nearest-reference distance is exactly 0
     ds = make_dataset(DatasetSpec(kind="grid_line", sample_count=24, ambient_dim=8, seed=2))
     ds = dataclasses.replace(ds, reference=ds.points)
     cfg = SolverConfig(q_size=8, max_iters=0, sketch_dim=8)
-    result = solver.run(ds.points, cfg, sketch=SketchMatrix(np.eye(8)))
+    monkeypatch.setattr(solver, "build_sketch", lambda P, m, seed: SketchMatrix(np.eye(8)))
+    result = solver.run(ds.points, cfg)
     report, err = experiments.score_run(ds, result, cfg, 0.0)
     assert np.all(err.dists == 0.0)
     assert report.relative_error == 0.0 and report.max_rel_error == 0.0

@@ -442,6 +442,18 @@ def test_all_coincident_cloud_is_degenerate(caplog):
     assert assert_matches_oracle(caplog, X, ref, 0.5, random_sketch(8, 4, 5)) is None
 
 
+def test_coincident_rows_within_rounding_are_degenerate():
+    # the mean of 3 copies of a row need not round back to the row, so their
+    # centred rows are of rounding size, not zero
+    rng = np.random.default_rng(83)
+    cloud = np.vstack([rng.normal(size=(50, 8)), np.repeat(rng.normal(size=(1, 8)), 3, 0)])
+    Y = metrics._principal_axes(cloud)[0][50:]
+    assert np.any(Y - Y.mean(axis=0))
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        principal_directions(cloud, [np.arange(50, 53)])
+    assert len(principal_directions(cloud, [np.arange(49, 53)])) == 1
+
+
 def test_pca_angle_empty_input():
     ref = helix(np.linspace(0, 6, 300))
     S = random_sketch(8, 4, 6)

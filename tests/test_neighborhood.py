@@ -200,7 +200,7 @@ def test_estimate_supports_nu_floor():
     S = SketchMatrix(np.eye(8))
     rng = Rng(0).stream("supports")
     q0 = pts[rng.subsample(816, 163)]
-    sup = estimate_supports(pts, 163, S, rng, q0)
+    sup = estimate_supports(pts, S, rng, q0)
     assert sup.nu == 5
     assert sup.h1 > 0 and sup.h2 > 0
 
@@ -208,7 +208,7 @@ def test_estimate_supports_nu_floor():
 def test_estimate_supports_equal_sizes():
     grid = col(*np.arange(12.0))
     rng = Rng(1).stream("supports")
-    sup = estimate_supports(grid, 12, S1, rng, grid[rng.subsample(12, 12)])
+    sup = estimate_supports(grid, S1, rng, grid[rng.subsample(12, 12)])
     assert sup.nu == 1
     # every point has a neighbour at distance 1 except the endpoints at 1
     assert sup.h1 == 1.0
@@ -221,7 +221,7 @@ def test_supports_quota_recheckable():
     S = SketchMatrix(np.eye(3))
     rng = Rng(2).stream("supports")
     q0 = pts[Rng(2).stream("init").subsample(120, 30)]
-    sup = estimate_supports(pts, 30, S, rng, q0)
+    sup = estimate_supports(pts, S, rng, q0)
     for q in q0:
         d = np.linalg.norm(pts - q, axis=1)
         d = np.delete(d, np.argmin(d)) if d.min() == 0.0 else d
@@ -232,7 +232,7 @@ def test_grid_h2_within_factor_two_of_h1():
     grid = np.stack(np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij"),
                     -1).reshape(-1, 2)
     rng = Rng(0).stream("supports")
-    sup = estimate_supports(grid, 144, S2, rng, grid[rng.subsample(576, 144)])
+    sup = estimate_supports(grid, S2, rng, grid[rng.subsample(576, 144)])
     assert 0.5 <= sup.h2 / sup.h1 <= 2.0
 
 
@@ -252,7 +252,7 @@ def test_h2_is_the_grid_value_of_the_subsample_quota(shape):
     }[shape]
     for seed in range(3):
         q0 = pts[Rng(seed).stream("init").subsample(pts.shape[0], I)]
-        sup = estimate_supports(pts, I, S, Rng(seed).stream("supports"), q0)
+        sup = estimate_supports(pts, S, Rng(seed).stream("supports"), q0)
         qr = pts[Rng(seed).stream("supports").subsample(pts.shape[0], I)]
         needed = float(quota_radii(qr, qr, 1, S).max())
         h0 = fill_distance(qr, S)
@@ -286,7 +286,7 @@ def test_h1_excludes_each_seed_point_by_index():
 
 def test_reconstruction_larger_than_data_rejected():
     with pytest.raises(ConfigError, match="I > J|1 <= I <= J"):
-        estimate_supports(col(0, 1, 2), 4, S1, Rng(0), col(0, 1, 2, 2))
+        estimate_supports(col(0, 1, 2), S1, Rng(0), col(0, 1, 2, 2))
 
 
 def test_support_params_validation():

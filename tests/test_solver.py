@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlop import kernels
+from mlop import kernels, solver
 from mlop.cloud import PointCloud
-from mlop.datasets import DatasetSpec, gen_grid_line, make_dataset
+from mlop.datasets import DatasetSpec, make_dataset
 from mlop.errors import CoincidentPointsError, ConfigError, NumericalAbortError
 from mlop.experiments import run_experiment
 from mlop.sketch import SketchMatrix
@@ -20,6 +20,16 @@ S8 = SketchMatrix(np.eye(8))
 S2 = SketchMatrix(np.eye(2))
 
 OPEN_PARAMS = RunParams(h1=1.5, h2=1.5, cutoff1=math.inf, cutoff2=math.inf, delta_min=1e-12)
+
+
+def grid_line(J, n):
+    """J equally spaced points on a segment in R^n."""
+    return make_dataset(DatasetSpec(kind="grid_line", sample_count=J, ambient_dim=n)).clean
+
+
+def identity_sketch(monkeypatch, n):
+    """Make solver.run measure every norm in R^n itself."""
+    monkeypatch.setattr(solver, "build_sketch", lambda P, m, seed: SketchMatrix(np.eye(n)))
 
 
 def small_instance(seed, J=20, I=5, n=8):
@@ -284,20 +294,22 @@ def test_cost_rejects_coincident_points():
 # ---------------------------------------------------------------------------
 
 
-def test_run_noise_free_line_stays_on_line():
-    line, _ = gen_grid_line(32, 8)
+def test_run_noise_free_line_stays_on_line(monkeypatch):
+    identity_sketch(monkeypatch, 8)
+    line = grid_line(32, 8)
     cfg = SolverConfig(q_size=16, max_iters=60, seed=1, sketch_dim=8)
-    res = run(line, cfg, sketch=S8)
+    res = run(line, cfg)
     direction = np.ones(8) / math.sqrt(8)
     Q = res.q_final.points
     perp = Q - np.outer(Q @ direction, direction)
     assert np.abs(perp).max() < 1e-3 * res.supports.h0
 
 
-def test_run_zero_iterations_echoes_subsample():
-    line, _ = gen_grid_line(20, 8)
+def test_run_zero_iterations_echoes_subsample(monkeypatch):
+    identity_sketch(monkeypatch, 8)
+    line = grid_line(20, 8)
     cfg = SolverConfig(q_size=7, max_iters=0, seed=3, sketch_dim=8)
-    res = run(line, cfg, sketch=S8)
+    res = run(line, cfg)
     assert np.array_equal(res.q_final.points, line.points[res.q0_indices])
     assert res.trace == []
     assert not res.converged
@@ -333,19 +345,20 @@ def test_run_aborts_on_coincident_points():
 
 
 def test_run_validates_sizes():
-    line, _ = gen_grid_line(10, 8)
+    line = grid_line(10, 8)
     with pytest.raises(ConfigError, match="exceeds"):
         run(line, SolverConfig(q_size=11, max_iters=1, sketch_dim=8))
 
 
-def test_around_point_init():
+def test_around_point_init(monkeypatch):
     # samples on a line in index order: the q_size nearest to the middle
     # sample J // 2 are it and its index neighbours
+    identity_sketch(monkeypatch, 4)
     for J, q0 in ((20, [9, 10, 11]), (21, [9, 10, 11]), (2, [0, 1])):
         pts = PointCloud(np.arange(float(J))[:, None] * np.ones(4))
         cfg = SolverConfig(q_size=len(q0), max_iters=0, seed=0, sketch_dim=4,
                            init="around_point")
-        res = run(pts, cfg, sketch=SketchMatrix(np.eye(4)))
+        res = run(pts, cfg)
         assert res.q0_indices.tolist() == q0
 
 

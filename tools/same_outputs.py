@@ -2,7 +2,13 @@
 
     python3 tools/same_outputs.py --parent ../parent --change . \\
         o2 cone cylinder2d "cylinder6d --threads 2" ellipses noise-sweep \\
-        "pca-benchmark --bootstraps 1" "gen --kind ellipse_images --count 900"
+        "pca-benchmark --bootstraps 1" \\
+        "gen --kind o2 --count 500 --noise 0.1" \\
+        "gen --kind cone_segment --count 720 --noise 0.1" \\
+        "gen --kind cylinder2d --count 816 --noise 0.1" \\
+        "gen --kind cylinder6d --count 300 --noise 0.1" \\
+        "gen --kind ellipse_images --count 900 --noise 0.05" \\
+        "gen --kind grid_line --count 33 --noise 0.05"
 
 Each item is a recipe name, optionally followed by more ``mlop reproduce``
 arguments, or ``gen`` followed by ``mlop gen`` arguments other than
